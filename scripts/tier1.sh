@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate (ROADMAP.md): plain build + full test suite, the chaos
-# suite again under thread sanitizer, and the bench regression gate. A
+# Tier-1 gate (ROADMAP.md): plain build + full test suite, the chaos and
+# search-executor suites again under thread sanitizer and under
+# address+undefined-behaviour sanitizers, and the bench regression gate. A
 # chaos failure prints the fault schedule (seed, drop rate, partition/
 # crash windows) to replay.
 #
@@ -35,15 +36,33 @@ scripts/trace_check.sh build
 echo "== tier 1: folded-profile export + reset contract =="
 scripts/profile_check.sh build
 
-echo "== tier 1: chaos + plan-differential + profiler suites under ThreadSanitizer =="
+# The search executor's suites (test_eval_engine, test_search_scheduler,
+# test_evaluator) drive its claim window, timer-wheel requeues and
+# cross-thread seals.
+EXECUTOR_SUITES="test_eval_engine test_search_scheduler test_evaluator"
+EXECUTOR_RE='^(test_eval_engine|test_search_scheduler|test_evaluator)$'
+
+echo "== tier 1: chaos + executor + plan-differential + profiler suites under ThreadSanitizer =="
 cmake -B build-tsan -S . -DCODA_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$(nproc)" \
-    --target test_chaos test_plan_compiler test_profiler
+    --target test_chaos test_plan_compiler test_profiler ${EXECUTOR_SUITES}
 ctest --test-dir build-tsan -L chaos --output-on-failure
+ctest --test-dir build-tsan -R "${EXECUTOR_RE}" --output-on-failure
 ctest --test-dir build-tsan -R '^test_plan_compiler$' --output-on-failure
 # The profiler's lock-free arenas and the pool/timerwheel instrumentation
 # get their data-race probe here (the submit storm in test_profiler).
 ctest --test-dir build-tsan -R '^test_profiler$' --output-on-failure
+
+# The executor's tasks capture its state by reference and rely on the
+# wheel-then-pool destruction order; AddressSanitizer catches a task that
+# outlives them, UBSan any undefined arithmetic on the way.
+echo "== tier 1: chaos + executor suites under AddressSanitizer + UBSan =="
+cmake -B build-asan -S . -DCODA_SANITIZE=address,undefined >/dev/null
+cmake --build build-asan -j"$(nproc)" --target test_chaos ${EXECUTOR_SUITES}
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan -L chaos --output-on-failure
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan -R "${EXECUTOR_RE}" --output-on-failure
 
 echo "== tier 1: bench regression gate (scripts/bench_gate.py) =="
 python3 scripts/bench_gate.py --self-test

@@ -3,26 +3,11 @@
 #include "src/core/search_scheduler.h"
 
 #include <atomic>
-#include <chrono>
-#include <cmath>
-#include <deque>
 #include <utility>
 
 #include "src/obs/obs.h"
-#include "src/util/stopwatch.h"
-#include "src/util/thread_pool.h"
-#include "src/util/timer_wheel.h"
 
 namespace coda {
-
-namespace {
-
-double seconds_between(std::chrono::steady_clock::time_point from,
-                       std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // PrefixCache
@@ -216,7 +201,6 @@ EvalEngine::EvalEngine(EvalOptions options) : options_(std::move(options)) {
   obs::counter("eval.search.pruned");
   obs::counter("eval.search.fold_evals_saved");
   obs::counter("eval.candidate.folds");
-  obs::counter("eval.candidate.cached");
   obs::counter("obs.trace.recorded");
   obs::counter("obs.trace.dropped");
   obs::counter("prof.scopes");
@@ -239,378 +223,11 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
                                  std::size_t n_folds) const {
   require(!candidates.empty(), "EvalEngine: no candidates");
   require(n_folds > 0, "EvalEngine: need at least one fold");
-  if (options_.search.strategy == SearchStrategy::kHalving) {
-    return detail::run_halving_search(options_, candidates, n_folds);
-  }
-  obs::ScopedSpan span("evaluator.evaluate");
-  PROF_SCOPE("eval.run");
-  // Captured for pool/wheel tasks: thread-local parenting does not cross a
-  // submit(), so every task re-installs the root context (and the node
-  // attribution of the simulated client driving this run) via ContextScope.
-  const obs::TraceContext root_ctx = span.context();
-  const std::string root_node = obs::Tracer::current_node();
-  Stopwatch total_timer;
-
-  // Candidate-level events write through count_scoped()/observe_scoped():
-  // the process-wide family plus (when this run is driven by a simulated
-  // client under obs::NodeScope / ContextScope) that node's MetricScope,
-  // so fleet telemetry can attribute work to individual clients. These
-  // fire once per candidate/fold, not per row — the name lookup is cheap
-  // relative to the work they account.
-
-  const std::size_t n = candidates.size();
-  EvaluationReport report;
-  report.metric = options_.metric;
-  report.fold_evaluations_planned = n * n_folds;
-  report.results.resize(n);
-  for (std::size_t i = 0; i < n; ++i) report.results[i].spec = candidates[i].spec;
-
-  auto serve = [&](std::size_t i, const CachedResult& hit,
-                   double eval_seconds) {
-    CandidateResult& out = report.results[i];
-    out.mean_score = hit.mean_score;
-    out.stddev = hit.stddev;
-    out.fold_scores = hit.fold_scores;
-    out.from_cache = true;
-    out.eval_seconds = eval_seconds;
-    obs::count_scoped("evaluator.candidate.cached");
-    obs::CandidateCosts::instance().record_cached(candidates[i].spec);
-  };
-
-  // Initial sweep: one batched lookup answers every already-shared
-  // candidate before any scheduling machinery spins up.
-  CooperativeFetch coop(options_.cache);
-  std::vector<char> done(n, 0);
-  std::size_t remaining = n;
-  if (coop.cooperative()) {
-    PROF_SCOPE("eval.sweep");
-    std::vector<std::string> keys;
-    keys.reserve(n);
-    for (const auto& c : candidates) keys.push_back(c.key);
-    Stopwatch sweep_timer;
-    const auto hits = coop.fetch_many(keys);
-    const double per_key = sweep_timer.elapsed_seconds() / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!hits[i].has_value()) continue;
-      serve(i, *hits[i], per_key);
-      done[i] = 1;
-      --remaining;
-    }
-  }
-
-  std::atomic<std::size_t> local_fold_evals{0};
-  if (remaining > 0) {
-    PrefixCache prefixes(options_.prefix_cache_bytes);
-
-    // Per-candidate scheduling state. Fields other than the atomics are
-    // guarded by `mutex` except where a field is only touched by the
-    // candidate's own attempt chain (attempts for one candidate never
-    // overlap: each is scheduled by its predecessor's requeue).
-    struct Slot {
-      std::chrono::steady_clock::time_point start{};
-      bool started = false;
-      bool holds_token = false;   ///< occupies a slot of the claim window
-      bool deferred = false;      ///< currently claim-blocked, on the wheel
-      bool was_deferred = false;  ///< deferred at least once (counter guard)
-      bool deadline_set = false;
-      std::chrono::steady_clock::time_point block_start{};
-      std::chrono::steady_clock::time_point deadline{};
-      double claim_wait = 0.0;
-      std::vector<double> fold_scores;
-      std::atomic<std::size_t> folds_left{0};
-      std::atomic<bool> failed{false};
-      std::string failure_message;
-    };
-    std::vector<std::unique_ptr<Slot>> slots(n);
-    for (std::size_t i = 0; i < n; ++i) slots[i] = std::make_unique<Slot>();
-
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::size_t pending = remaining;
-    // Candidates that are unfinished and not claim-blocked — i.e. local work
-    // still exists. A blocked candidate's local-compute deadline only starts
-    // once this reaches zero: while peers make progress AND we still have
-    // other candidates to score, waiting costs nothing (no worker parks).
-    std::size_t unblocked = remaining;
-    std::deque<std::size_t> next_queue;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!done[i]) next_queue.push_back(i);
-    }
-
-    // Declared before the pool/wheel (and assigned after) so they are
-    // destroyed only once the pool has joined its workers — a worker is
-    // always inside one of these callables while it runs engine work.
-    std::function<void()> dispatch_locked;
-    std::function<void(std::size_t)> complete;
-    std::function<void(std::size_t)> attempt;
-    std::function<void(std::size_t, std::size_t)> run_fold;
-    std::function<void(std::size_t)> finalize;
-    // Claim window: at most pool.size() candidates are claimed-but-
-    // unfinished at once, so a client claims work just before it has the
-    // capacity to score it — claiming the whole graph up front would
-    // starve cooperating peers.
-    std::size_t tokens = 0;
-
-    ThreadPool pool(options_.threads);
-    tokens = pool.size();
-    TimerWheel wheel;
-
-    // Pops queued candidates while window slots are free. Caller holds
-    // `mutex`.
-    dispatch_locked = [&] {
-      while (tokens > 0 && !next_queue.empty()) {
-        const std::size_t i = next_queue.front();
-        next_queue.pop_front();
-        --tokens;
-        slots[i]->holds_token = true;
-        pool.submit([&attempt, i, root_ctx, root_node] {
-          obs::ContextScope trace_scope(root_ctx, root_node);
-          attempt(i);
-        });
-      }
-    };
-
-    // Candidate finished (scored, served, or failed): release its window
-    // slot, let queued work in, wake the driver when everything is done.
-    complete = [&](std::size_t i) {
-      Slot& s = *slots[i];
-      std::lock_guard<std::mutex> lock(mutex);
-      --pending;
-      if (!s.deferred) --unblocked;  // deferred candidates already left
-      if (s.holds_token) {
-        s.holds_token = false;
-        ++tokens;
-      }
-      dispatch_locked();
-      done_cv.notify_all();
-    };
-
-    finalize = [&](std::size_t i) {
-      Slot& s = *slots[i];
-      CandidateResult& out = report.results[i];
-      out.claim_wait_seconds = s.claim_wait;
-      out.eval_seconds =
-          seconds_between(s.start, std::chrono::steady_clock::now()) -
-          s.claim_wait;
-      if (out.eval_seconds < 0.0) out.eval_seconds = 0.0;
-      if (s.failed.load(std::memory_order_acquire)) {
-        out.failed = true;
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          out.failure_message = s.failure_message;
-        }
-        obs::count_scoped("evaluator.candidate.failed");
-        coop.release(candidates[i].key);
-      } else {
-        double sum = 0.0;
-        for (const double sc : s.fold_scores) sum += sc;
-        out.mean_score = sum / static_cast<double>(s.fold_scores.size());
-        double var = 0.0;
-        for (const double sc : s.fold_scores) {
-          const double d = sc - out.mean_score;
-          var += d * d;
-        }
-        out.stddev =
-            std::sqrt(var / static_cast<double>(s.fold_scores.size()));
-        out.fold_scores = s.fold_scores;
-        obs::count_scoped("evaluator.candidate.local");
-        obs::observe_scoped("evaluator.candidate.seconds", out.eval_seconds);
-        if (coop.cooperative()) {
-          coop.put(candidates[i].key,
-                       CachedResult{out.mean_score, out.stddev,
-                                    out.fold_scores, candidates[i].spec});
-        }
-      }
-      complete(i);
-    };
-
-    run_fold = [&](std::size_t i, std::size_t fold) {
-      Slot& s = *slots[i];
-      // A sibling fold already failed the candidate: skip the work, just
-      // balance the countdown.
-      if (!s.failed.load(std::memory_order_acquire)) {
-        PROF_SCOPE("eval.fold");
-        obs::ScopedSpan fold_span("evaluator.fold");
-        fold_span.tag("path", candidates[i].spec);
-        fold_span.tag("fold", std::to_string(fold));
-        // Ambient attribution: PrefixCache hits/misses inside score_fold
-        // are charged to this candidate's cost row.
-        obs::CandidateScope cost_scope(candidates[i].spec);
-        try {
-          Stopwatch fold_timer;
-          const double sc = candidates[i].score_fold(fold, prefixes);
-          s.fold_scores[fold] = sc;
-          const double elapsed = fold_timer.elapsed_seconds();
-          obs::observe_scoped("cv.fold.seconds", elapsed);
-          obs::CandidateCosts::instance().record_fold(candidates[i].spec,
-                                                      elapsed);
-          local_fold_evals.fetch_add(1, std::memory_order_acq_rel);
-        } catch (const std::exception& e) {
-          bool expected = false;
-          if (s.failed.compare_exchange_strong(expected, true,
-                                               std::memory_order_acq_rel)) {
-            std::lock_guard<std::mutex> lock(mutex);
-            s.failure_message = e.what();
-          }
-        }
-      }
-      if (s.folds_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        finalize(i);
-      }
-    };
-
-    attempt = [&](std::size_t i) {
-      Slot& s = *slots[i];
-      const auto now = std::chrono::steady_clock::now();
-      bool retry;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!s.started) {
-          s.started = true;
-          s.start = now;
-        }
-        retry = s.deferred;
-      }
-      // One span per scheduling attempt, parented under the run's root via
-      // the ContextScope the submitting task installed. Cooperative calls
-      // and fold tasks all descend from it.
-      PROF_SCOPE("eval.candidate");
-      obs::ScopedSpan attempt_span("evaluator.candidate");
-      attempt_span.tag("path", candidates[i].spec);
-      if (retry) attempt_span.tag("retry", "1");
-      const std::string& key = candidates[i].key;
-      if (coop.cooperative()) {
-        if (retry) {
-          // A peer held the claim when we last looked; its result may have
-          // landed since.
-          if (auto hit = coop.fetch(key)) {
-            const double wait = seconds_between(
-                s.block_start, std::chrono::steady_clock::now());
-            {
-              std::lock_guard<std::mutex> lock(mutex);
-              s.claim_wait = wait;
-            }
-            obs::observe_scoped("evaluator.claim.wait_seconds", wait);
-            obs::CandidateCosts::instance().record_claim_wait(
-                candidates[i].spec, wait);
-            report.results[i].claim_wait_seconds = wait;
-            serve(i, *hit, /*eval_seconds=*/0.0);
-            complete(i);
-            return;
-          }
-        }
-        if (!coop.claim(key)) {
-          // Claim-blocked: park the candidate on the timer wheel and let the
-          // workers keep scoring other candidates. No thread sleeps here.
-          std::lock_guard<std::mutex> lock(mutex);
-          const auto block_now = std::chrono::steady_clock::now();
-          if (!s.deferred) {
-            s.deferred = true;
-            s.block_start = block_now;
-            --unblocked;
-            if (s.holds_token) {
-              s.holds_token = false;
-              ++tokens;
-              dispatch_locked();
-            }
-            if (!s.was_deferred) {
-              s.was_deferred = true;
-              obs::count_scoped("evaluator.candidate.deferred");
-            }
-          }
-          const bool expired = s.deadline_set && block_now >= s.deadline;
-          if (!expired) {
-            if (!s.deadline_set && unblocked == 0) {
-              // No local work left to hide the wait behind — start the
-              // local-compute deadline (peer-failure safety net).
-              s.deadline_set = true;
-              s.deadline = block_now + std::chrono::milliseconds(
-                                           options_.claim_wait_ms);
-            }
-            obs::count_scoped("eval.claim.requeued");
-            wheel.schedule(
-                std::chrono::milliseconds(options_.claim_poll_ms),
-                [&pool, &attempt, i, root_ctx, root_node] {
-                  pool.submit([&attempt, i, root_ctx, root_node] {
-                    obs::ContextScope trace_scope(root_ctx, root_node);
-                    attempt(i);
-                  });
-                });
-            return;
-          }
-          // Deadline expired without a stored result or a winnable claim:
-          // the peer presumably died. Compute locally without the claim so
-          // the search always completes.
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (s.deferred) {
-            s.deferred = false;
-            ++unblocked;
-            s.claim_wait = seconds_between(s.block_start,
-                                           std::chrono::steady_clock::now());
-          }
-        }
-        if (s.claim_wait > 0.0) {
-          obs::observe_scoped("evaluator.claim.wait_seconds", s.claim_wait);
-          obs::CandidateCosts::instance().record_claim_wait(
-              candidates[i].spec, s.claim_wait);
-        }
-      }
-      // Fan out: one task per fold, so a slow candidate's folds spread over
-      // the workers instead of serializing at the tail of the run. Fold
-      // tasks parent under this attempt's span (which may close first —
-      // parent links are ids, not lifetimes).
-      const obs::TraceContext fold_ctx = attempt_span.context();
-      s.fold_scores.assign(n_folds, 0.0);
-      s.folds_left.store(n_folds, std::memory_order_release);
-      for (std::size_t fold = 0; fold < n_folds; ++fold) {
-        pool.submit([&run_fold, i, fold, fold_ctx, root_node] {
-          obs::ContextScope trace_scope(fold_ctx, root_node);
-          run_fold(i, fold);
-        });
-      }
-    };
-
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      dispatch_locked();
-    }
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      done_cv.wait(lock, [&] { return pending == 0; });
-    }
-    // `wheel` (destroyed first) can no longer re-submit into `pool`; with
-    // pending == 0 neither holds engine work.
-  }
-
-  // Pick the best non-failed candidate (order-stable: earlier candidate
-  // wins ties, exactly like the pre-engine evaluators).
-  const bool maximize = higher_is_better(options_.metric);
-  bool found = false;
-  for (std::size_t i = 0; i < report.results.size(); ++i) {
-    const auto& r = report.results[i];
-    report.total_claim_wait_seconds += r.claim_wait_seconds;
-    if (r.failed) continue;
-    if (r.from_cache) {
-      ++report.served_from_cache;
-    } else {
-      ++report.evaluated_locally;
-    }
-    if (!found) {
-      report.best_index = i;
-      found = true;
-      continue;
-    }
-    const auto& best = report.results[report.best_index];
-    const bool better = maximize ? r.mean_score > best.mean_score
-                                 : r.mean_score < best.mean_score;
-    if (better) report.best_index = i;
-  }
-  require_state(found, "EvalEngine: every candidate failed");
-  report.fold_evaluations = local_fold_evals.load(std::memory_order_acquire);
-  report.total_seconds = total_timer.elapsed_seconds();
-  return report;
+  const HalvingPlan plan =
+      options_.search.strategy == SearchStrategy::kHalving
+          ? HalvingPlan::build(candidates.size(), n_folds, options_.search.eta)
+          : HalvingPlan::exhaustive(candidates.size(), n_folds);
+  return detail::run_plan(options_, candidates, plan);
 }
 
 }  // namespace coda

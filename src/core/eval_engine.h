@@ -3,10 +3,12 @@
 //
 // Three jobs, shared by every graph family:
 //
-//  1. Scheduling — each candidate x fold becomes one task on the shared
-//     ThreadPool, so a slow candidate's folds spread across workers instead
-//     of serializing at the tail of the run (Section III: "different
-//     predictive models can be run in parallel").
+//  1. Scheduling — run() validates its arguments, builds a rung plan from
+//     EvalOptions::search (exhaustive = one rung covering every candidate
+//     on every fold) and hands it to the single executor in
+//     search_scheduler.h. Each candidate's folds become tasks on one
+//     ThreadPool, so a slow candidate's folds spread across workers
+//     (Section III: "different predictive models can be run in parallel").
 //  2. Shared-prefix memoization — candidates that share a fitted
 //     transformer prefix (same scaler/selector chain, or the same
 //     scaler+windower pair for forecast paths) fit it once per fold; the
@@ -14,7 +16,7 @@
 //     one run. SystemDS and MLCask report the same reuse as the dominant
 //     win for enumerated-pipeline workloads.
 //  3. Cooperation — the DARR lookup/claim/store protocol (Fig 2) runs
-//     through one CooperativeFetch call site. A claim-blocked candidate is
+//     through one CooperativeFetch call site. A claim-blocked unit is
 //     re-queued on a TimerWheel instead of parking a worker in a
 //     sleep/poll loop, so threads keep scoring other candidates while a
 //     peer works.
@@ -144,9 +146,9 @@ class CooperativeFetch {
   std::atomic<bool> degraded_{false};
 };
 
-/// The engine. One instance is cheap (it owns no threads); each run() spins
-/// up its ThreadPool + TimerWheel and tears them down when the report is
-/// complete.
+/// The engine. One instance is cheap (it owns no threads); each run()'s
+/// executor spins up its ThreadPool + TimerWheel and tears them down when
+/// the report is complete.
 class EvalEngine {
  public:
   explicit EvalEngine(EvalOptions options);
@@ -163,8 +165,9 @@ class EvalEngine {
     std::function<double(std::size_t fold, PrefixCache& prefixes)> score_fold;
   };
 
-  /// Evaluates every candidate over `n_folds` folds and selects the best
-  /// non-failed one. Throws StateError when every candidate failed.
+  /// Runs the search plan options().search selects over `n_folds` folds
+  /// and selects the best full-CV, non-failed candidate. Throws StateError
+  /// when every candidate failed.
   EvaluationReport run(std::vector<Candidate> candidates,
                        std::size_t n_folds) const;
 

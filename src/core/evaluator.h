@@ -109,9 +109,11 @@ struct CandidateResult {
   double mean_score = 0.0;
   double stddev = 0.0;
   std::vector<double> fold_scores;
-  /// Time spent obtaining this result (cross-validation for local
-  /// evaluations, cache lookup/serve for cached ones) — claim waiting is
-  /// accounted separately in claim_wait_seconds, never here.
+  /// Sum of the fold seconds this client computed for the candidate (the
+  /// cost table's fold_seconds); the sweep's per-key share of its lookup
+  /// when served whole by the initial sweep; 0 when every fold came from
+  /// peers. Claim waiting is in claim_wait_seconds, never here. A timing,
+  /// never an exact field.
   double eval_seconds = 0.0;
   /// Time a peer's claim deferred this candidate before its result arrived
   /// (or the engine computed it locally). The candidate does not occupy a
@@ -146,8 +148,11 @@ struct EvaluationReport {
   /// for exhaustive search, the rung schedule's total for halving. The gap
   /// to candidates × folds is the halving saving.
   std::size_t fold_evaluations_planned = 0;
-  std::size_t pruned_candidates = 0;  ///< halving only
-  std::size_t rungs = 0;              ///< halving only (0 = exhaustive)
+  /// Candidates cut before the final rung (always 0 for exhaustive).
+  std::size_t pruned_candidates = 0;
+  /// Rungs in the executed plan: 1 for exhaustive (one rung covering
+  /// every candidate on every fold).
+  std::size_t rungs = 0;
 
   const CandidateResult& best() const;
 };

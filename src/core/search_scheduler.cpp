@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -21,11 +22,6 @@
 namespace coda {
 
 namespace {
-
-double seconds_between(std::chrono::steady_clock::time_point from,
-                       std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 /// SplitMix64 step — the same generator family Rng seeds with; inlined
 /// here so the tournament permutation is a pure function of the seed with
@@ -89,6 +85,17 @@ HalvingPlan HalvingPlan::build(std::size_t n_candidates, std::size_t n_folds,
   return plan;
 }
 
+HalvingPlan HalvingPlan::exhaustive(std::size_t n_candidates,
+                                    std::size_t n_folds) {
+  require(n_candidates > 0, "HalvingPlan: no candidates");
+  require(n_folds > 0, "HalvingPlan: need at least one fold");
+  HalvingPlan plan;
+  plan.n_candidates = n_candidates;
+  plan.n_folds = n_folds;
+  plan.rungs.push_back(RungSpec{0, n_folds, n_candidates});
+  return plan;
+}
+
 std::size_t HalvingPlan::total_fold_evals() const {
   std::size_t total = 0;
   for (const RungSpec& r : rungs) total += r.entrants * r.folds();
@@ -104,38 +111,74 @@ std::string rung_key(const std::string& base_key, const SearchOptions& search,
 
 namespace detail {
 
-EvaluationReport run_halving_search(
-    const EvalOptions& options,
-    const std::vector<EvalEngine::Candidate>& candidates, std::size_t n_folds) {
-  require(!candidates.empty(), "EvalEngine: no candidates");
-  require(n_folds > 0, "EvalEngine: need at least one fold");
-  obs::ScopedSpan span("evaluator.evaluate");
-  PROF_SCOPE("eval.search.run");
-  const obs::TraceContext root_ctx = span.context();
-  const std::string root_node = obs::Tracer::current_node();
-  Stopwatch total_timer;
+namespace {
 
-  const std::size_t n = candidates.size();
-  const HalvingPlan plan =
-      HalvingPlan::build(n, n_folds, options.search.eta);
-  const std::vector<std::size_t> tie_rank =
-      tournament_ranks(n, options.search.seed);
-  const bool maximize = higher_is_better(options.metric);
+/// One execution of a rung plan. A unit is one candidate on one rung: it
+/// runs the cooperative claim cycle in attempt(), then fans out one pool
+/// task per fold; the last fold finishes the unit and the last unit of a
+/// rung seals it.
+class PlanRun {
+ public:
+  PlanRun(const EvalOptions& options,
+          const std::vector<EvalEngine::Candidate>& candidates,
+          const HalvingPlan& plan)
+      : options_(options),
+        candidates_(candidates),
+        plan_(plan),
+        base_keys_(plan.rungs.size() == 1),
+        maximize_(higher_is_better(options.metric)),
+        tie_rank_(tournament_ranks(candidates.size(), options.search.seed)),
+        coop_(options.cache),
+        prefixes_(options.prefix_cache_bytes),
+        entrants_(candidates.size()) {
+    std::iota(entrants_.begin(), entrants_.end(), std::size_t{0});
+    report_.metric = options.metric;
+    report_.results.resize(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      report_.results[i].spec = candidates[i].spec;
+      cands_.push_back(std::make_unique<Cand>());
+      cands_[i]->fold_scores.assign(plan.n_folds, 0.0);
+    }
+    report_.fold_evaluations_planned = plan.total_fold_evals();
+    report_.rungs = plan.rungs.size();
+  }
 
-  // The saving is a property of the plan, not the schedule — count it once
-  // up front so it is identical on every client and under every chaos
-  // interleaving.
-  obs::count_scoped("eval.search.fold_evals_saved",
-                    plan.exhaustive_fold_evals() - plan.total_fold_evals());
+  EvaluationReport execute() {
+    obs::ScopedSpan span("evaluator.evaluate");
+    PROF_SCOPE("eval.run");
+    root_ctx_ = span.context();
+    root_node_ = obs::Tracer::current_node();
+    Stopwatch total_timer;
+    // The saving is a property of the plan, not the schedule — count it
+    // once up front so it is identical on every client and under every
+    // chaos interleaving.
+    const std::size_t saved =
+        plan_.exhaustive_fold_evals() - plan_.total_fold_evals();
+    if (saved > 0) obs::count_scoped("eval.search.fold_evals_saved", saved);
 
-  EvaluationReport report;
-  report.metric = options.metric;
-  report.results.resize(n);
-  for (std::size_t i = 0; i < n; ++i) report.results[i].spec = candidates[i].spec;
-  report.fold_evaluations_planned = plan.total_fold_evals();
-  report.rungs = plan.rungs.size();
+    sweep();
+    if (std::any_of(cands_.begin(), cands_.end(),
+                    [](const auto& c) { return !c->swept; })) {
+      pool_.emplace(options_.threads);
+      tokens_ = pool_->size();
+      wheel_.emplace();
+    }
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      start_rung_locked();
+      done_cv_.wait(lock, [this] { return all_done_; });
+    }
+    publish_survivors();
+    report_.fold_evaluations =
+        local_fold_evals_.load(std::memory_order_acquire);
+    report_.pruned_candidates = pruned_total_;
+    pick_best();
+    report_.total_seconds = total_timer.elapsed_seconds();
+    return std::move(report_);
+  }
 
-  // Racing state per candidate. Non-atomic fields are guarded by `mutex`
+ private:
+  // Racing state per candidate. Non-atomic fields are guarded by `mutex_`
   // except those only touched by the candidate's own attempt chain
   // (attempts for one unit never overlap — each is scheduled by its
   // predecessor's requeue, and a candidate runs one rung at a time).
@@ -149,8 +192,8 @@ EvaluationReport run_halving_search(
     double claim_wait = 0.0;
     std::atomic<bool> failed{false};
     std::string failure_message;
-    // Current-rung unit state.
-    bool holds_token = false;
+    // Current-unit state.
+    bool holds_token = false;   ///< occupies a slot of the claim window
     bool deferred = false;      ///< claim-blocked, parked on the wheel
     bool was_deferred = false;  ///< counter guard (once per candidate)
     bool deadline_set = false;
@@ -158,106 +201,147 @@ EvaluationReport run_halving_search(
     std::chrono::steady_clock::time_point deadline{};
     std::atomic<std::size_t> folds_left{0};
   };
-  std::vector<std::unique_ptr<Cand>> cands(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    cands[i] = std::make_unique<Cand>();
-    cands[i]->fold_scores.assign(n_folds, 0.0);
+
+  /// The DARR key unit (i, r) claims and publishes: the plain base key in
+  /// a one-rung plan, a rung-qualified key in a racing plan.
+  std::string unit_key(std::size_t i, std::size_t r) const {
+    return base_keys_ ? candidates_[i].key
+                      : rung_key(candidates_[i].key, options_.search, r);
   }
 
-  // Initial sweep over the plain base keys: a candidate any client already
-  // finished (exhaustive peer, earlier run, or a completed halving search)
-  // skips racing entirely — it still ranks in every rung via its full fold
-  // scores, which can only sharpen prune decisions.
-  CooperativeFetch coop(options.cache);
-  std::atomic<std::size_t> local_fold_evals{0};
-  if (coop.cooperative()) {
+  // Initial sweep over the plain base keys: one batched lookup answers
+  // every candidate any client already finished. A swept candidate never
+  // becomes a unit; in a racing plan it still ranks in every rung via its
+  // full fold scores. A record without the full fold count (a foreign or
+  // malformed publisher) is ignored and the candidate computed.
+  void sweep() {
+    if (!coop_.cooperative()) return;
     PROF_SCOPE("eval.sweep");
+    const std::size_t n = candidates_.size();
     std::vector<std::string> keys;
     keys.reserve(n);
-    for (const auto& c : candidates) keys.push_back(c.key);
+    for (const auto& c : candidates_) keys.push_back(c.key);
     Stopwatch sweep_timer;
-    const auto hits = coop.fetch_many(keys);
-    const double per_key = sweep_timer.elapsed_seconds() / static_cast<double>(n);
+    const auto hits = coop_.fetch_many(keys);
+    const double per_key =
+        sweep_timer.elapsed_seconds() / static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (!hits[i].has_value() || hits[i]->fold_scores.size() != n_folds) {
+      if (!hits[i].has_value() || hits[i]->fold_scores.size() != plan_.n_folds) {
         continue;
       }
-      Cand& c = *cands[i];
+      Cand& c = *cands_[i];
       c.swept = true;
       c.fold_scores = hits[i]->fold_scores;
-      c.folds_known = n_folds;
-      CandidateResult& out = report.results[i];
+      c.folds_known = plan_.n_folds;
+      CandidateResult& out = report_.results[i];
       out.mean_score = hits[i]->mean_score;
       out.stddev = hits[i]->stddev;
       out.fold_scores = hits[i]->fold_scores;
       out.from_cache = true;
       out.eval_seconds = per_key;
       obs::count_scoped("evaluator.candidate.cached");
-      obs::CandidateCosts::instance().record_cached(candidates[i].spec);
+      obs::CandidateCosts::instance().record_cached(candidates_[i].spec);
     }
   }
 
-  PrefixCache prefixes(options.prefix_cache_bytes);
+  void submit_attempt(std::size_t i) {
+    pool_->submit([this, i] {
+      obs::ContextScope trace_scope(root_ctx_, root_node_);
+      attempt(i);
+    });
+  }
 
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  bool all_done = false;
-  std::size_t rung_index = 0;
-  std::vector<std::size_t> entrants(n);
-  std::iota(entrants.begin(), entrants.end(), std::size_t{0});
-  std::size_t outstanding = 0;  ///< unresolved units in the current rung
-  std::size_t unblocked = 0;    ///< unresolved units not claim-blocked
-  std::deque<std::size_t> unit_queue;
-  std::size_t tokens = 0;
-  std::size_t pruned_total = 0;
-
-  // Mean over the candidate's known fold prefix, truncated to `fold_end`.
-  // Caller holds `mutex`.
-  auto partial_mean = [&](std::size_t i, std::size_t fold_end) {
-    const Cand& c = *cands[i];
-    const std::size_t k = std::min(fold_end, c.folds_known);
-    if (k == 0) return 0.0;
-    double sum = 0.0;
-    for (std::size_t f = 0; f < k; ++f) sum += c.fold_scores[f];
-    return sum / static_cast<double>(k);
-  };
-
-  // Declared before the pool/wheel (and assigned after) so they are
-  // destroyed only once the pool has joined its workers.
-  std::function<void()> dispatch_locked;
-  std::function<void(std::size_t)> attempt;
-  std::function<void(std::size_t, std::size_t, std::size_t)> run_unit_fold;
-  std::function<void(std::size_t, std::size_t)> finish_unit;
-  std::function<void(std::size_t)> unit_done;
-  std::function<void(std::size_t)> finalize_locked;
-  std::function<void()> seal_locked;
-  std::function<void()> start_rung_locked;
-
-  ThreadPool pool(options.threads);
-  tokens = pool.size();
-  TimerWheel wheel;
-
-  // Claim window, exactly as in the exhaustive engine: at most pool.size()
-  // units claimed-but-unfinished at once. Caller holds `mutex`.
-  dispatch_locked = [&] {
-    while (tokens > 0 && !unit_queue.empty()) {
-      const std::size_t i = unit_queue.front();
-      unit_queue.pop_front();
-      --tokens;
-      cands[i]->holds_token = true;
-      pool.submit([&attempt, i, root_ctx, root_node] {
-        obs::ContextScope trace_scope(root_ctx, root_node);
-        attempt(i);
-      });
+  // Pops queued units while claim-window slots are free. Caller holds
+  // `mutex_`.
+  void dispatch_locked() {
+    while (tokens_ > 0 && !unit_queue_.empty()) {
+      const std::size_t i = unit_queue_.front();
+      unit_queue_.pop_front();
+      --tokens_;
+      cands_[i]->holds_token = true;
+      submit_attempt(i);
     }
-  };
+  }
+
+  // Queues the current rung's unresolved units. Caller holds `mutex_`.
+  void start_rung_locked() {
+    const RungSpec& rung = plan_.rungs[rung_index_];
+    outstanding_ = 0;
+    unit_queue_.clear();
+    for (const std::size_t i : entrants_) {
+      Cand& c = *cands_[i];
+      if (c.failed.load(std::memory_order_acquire) ||
+          c.folds_known >= rung.fold_end) {
+        continue;  // already resolved (failed earlier, swept, or cached)
+      }
+      c.deferred = false;
+      c.deadline_set = false;
+      ++outstanding_;
+      unit_queue_.push_back(i);
+    }
+    unblocked_ = outstanding_;
+    if (outstanding_ == 0) {
+      seal_locked();
+      return;
+    }
+    dispatch_locked();
+  }
+
+  // Rank-and-prune seal (DESIGN.md §16): runs exactly once per rung, when
+  // its last unit resolves. Ranking is a pure function of fold scores,
+  // enumeration order and the seeded tournament permutation — no schedule
+  // state — so every cooperating client seals identically. Caller holds
+  // `mutex_`; nothing here calls the ResultCache.
+  void seal_locked() {
+    obs::count_scoped("eval.search.rungs");
+    const RungSpec& rung = plan_.rungs[rung_index_];
+    if (rung_index_ + 1 == plan_.rungs.size()) {
+      for (const std::size_t i : entrants_) finalize_locked(i);
+      all_done_ = true;
+      done_cv_.notify_all();
+      return;
+    }
+    std::vector<std::size_t> order = entrants_;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const bool fa = cands_[a]->failed.load(std::memory_order_acquire);
+      const bool fb = cands_[b]->failed.load(std::memory_order_acquire);
+      if (fa != fb) return !fa;  // failed candidates rank strictly last
+      if (!fa) {
+        const double sa = partial_mean_locked(a, rung.fold_end);
+        const double sb = partial_mean_locked(b, rung.fold_end);
+        if (sa != sb) return maximize_ ? sa > sb : sa < sb;
+      }
+      return tie_rank_[a] < tie_rank_[b];
+    });
+    const std::size_t keep = plan_.rungs[rung_index_ + 1].entrants;
+    for (std::size_t pos = keep; pos < order.size(); ++pos) {
+      const std::size_t i = order[pos];
+      // Every cut entrant is pruned at this rung — including failed ones
+      // (ranked strictly last): the rung records where the race dropped
+      // them. Swept candidates keep their full-CV row untouched.
+      if (!cands_[i]->swept) {
+        cands_[i]->pruned_at = static_cast<int>(rung_index_);
+        obs::count_scoped("eval.search.pruned");
+        obs::CandidateCosts::instance().record_pruned(
+            candidates_[i].spec, static_cast<int>(rung_index_));
+        ++pruned_total_;
+      }
+      finalize_locked(i);
+    }
+    // Promote in rank order: the current best candidates queue first
+    // (GraphLab-style prioritized continuation).
+    order.resize(keep);
+    entrants_ = std::move(order);
+    ++rung_index_;
+    start_rung_locked();
+  }
 
   // Copies the candidate's racing state into its report row. Caller holds
-  // `mutex`. Swept candidates were finalized at the sweep and are skipped.
-  finalize_locked = [&](std::size_t i) {
-    Cand& c = *cands[i];
+  // `mutex_`. Swept candidates were finalized at the sweep and are skipped.
+  void finalize_locked(std::size_t i) {
+    Cand& c = *cands_[i];
     if (c.swept) return;
-    CandidateResult& out = report.results[i];
+    CandidateResult& out = report_.results[i];
     out.claim_wait_seconds = c.claim_wait;
     out.pruned_at_rung = c.pruned_at;
     if (c.failed.load(std::memory_order_acquire)) {
@@ -266,194 +350,181 @@ EvaluationReport run_halving_search(
       obs::count_scoped("evaluator.candidate.failed");
       return;
     }
-    const std::size_t k = c.folds_known;
-    out.fold_scores.assign(c.fold_scores.begin(),
-                           c.fold_scores.begin() + static_cast<std::ptrdiff_t>(k));
-    double sum = 0.0;
-    for (const double sc : out.fold_scores) sum += sc;
-    out.mean_score = k > 0 ? sum / static_cast<double>(k) : 0.0;
-    double var = 0.0;
-    for (const double sc : out.fold_scores) {
-      const double d = sc - out.mean_score;
-      var += d * d;
-    }
-    out.stddev = k > 0 ? std::sqrt(var / static_cast<double>(k)) : 0.0;
+    CachedResult summary = summarize(c, 0, c.folds_known, candidates_[i].spec);
+    out.mean_score = summary.mean_score;
+    out.stddev = summary.stddev;
+    out.fold_scores = std::move(summary.fold_scores);
     out.eval_seconds = c.compute_seconds;
     if (c.computed_any) {
       obs::count_scoped("evaluator.candidate.local");
       obs::observe_scoped("evaluator.candidate.seconds", out.eval_seconds);
-    } else if (coop.cooperative()) {
-      // Every rung segment arrived from peers.
+    } else if (coop_.cooperative()) {
+      // Every unit's segment arrived from peers.
       out.from_cache = true;
       obs::count_scoped("evaluator.candidate.cached");
-      obs::CandidateCosts::instance().record_cached(candidates[i].spec);
+      obs::CandidateCosts::instance().record_cached(candidates_[i].spec);
     }
-    // A candidate that completed the full fold set republishes under its
-    // plain base key, so exhaustive peers and future runs hit the sweep
-    // instead of re-racing (the repository's store is idempotent for the
-    // bit-identical value every client assembles).
-    if (k == n_folds && coop.cooperative() && !candidates[i].key.empty()) {
-      coop.put(candidates[i].key,
-               CachedResult{out.mean_score, out.stddev, out.fold_scores,
-                            candidates[i].spec});
-    }
-  };
+  }
 
-  // Rank-and-prune seal (DESIGN.md §16): runs exactly once per rung, when
-  // its last unit resolves. Ranking is a pure function of fold scores,
-  // enumeration order and the seeded tournament permutation — no schedule
-  // state — so every cooperating client seals identically. Caller holds
-  // `mutex`.
-  seal_locked = [&] {
-    PROF_SCOPE("eval.search.seal");
-    obs::count_scoped("eval.search.rungs");
-    const RungSpec& rung = plan.rungs[rung_index];
-    const bool final_rung = rung_index + 1 == plan.rungs.size();
-    if (final_rung) {
-      for (const std::size_t i : entrants) finalize_locked(i);
-      all_done = true;
-      done_cv.notify_all();
-      return;
-    }
-    std::vector<std::size_t> order = entrants;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const bool fa = cands[a]->failed.load(std::memory_order_acquire);
-      const bool fb = cands[b]->failed.load(std::memory_order_acquire);
-      if (fa != fb) return !fa;  // failed candidates rank strictly last
-      if (!fa) {
-        const double sa = partial_mean(a, rung.fold_end);
-        const double sb = partial_mean(b, rung.fold_end);
-        if (sa != sb) return maximize ? sa > sb : sa < sb;
-      }
-      return tie_rank[a] < tie_rank[b];
-    });
-    const std::size_t keep = plan.rungs[rung_index + 1].entrants;
-    for (std::size_t pos = keep; pos < order.size(); ++pos) {
-      const std::size_t i = order[pos];
-      Cand& c = *cands[i];
-      // Every cut entrant is pruned at this rung — including failed ones
-      // (ranked strictly last): the rung records where the race dropped
-      // them. Swept candidates keep their full-CV row untouched.
-      if (!c.swept) {
-        c.pruned_at = static_cast<int>(rung_index);
-        obs::count_scoped("eval.search.pruned");
-        obs::CandidateCosts::instance().record_pruned(
-            candidates[i].spec, static_cast<int>(rung_index));
-        ++pruned_total;
-      }
-      finalize_locked(i);
-    }
-    // Promote in rank order: the current best candidates queue first
-    // (GraphLab-style prioritized continuation).
-    order.resize(keep);
-    entrants = std::move(order);
-    ++rung_index;
-    start_rung_locked();
-  };
+  // Mean over the candidate's known fold prefix, truncated to `fold_end`.
+  // Caller holds `mutex_`.
+  double partial_mean_locked(std::size_t i, std::size_t fold_end) const {
+    const Cand& c = *cands_[i];
+    const std::size_t k = std::min(fold_end, c.folds_known);
+    if (k == 0) return 0.0;
+    double sum = 0.0;
+    for (std::size_t f = 0; f < k; ++f) sum += c.fold_scores[f];
+    return sum / static_cast<double>(k);
+  }
 
-  // Submits the current rung's unresolved units. Caller holds `mutex`.
-  start_rung_locked = [&] {
-    const RungSpec& rung = plan.rungs[rung_index];
-    outstanding = 0;
-    unit_queue.clear();
-    for (const std::size_t i : entrants) {
-      Cand& c = *cands[i];
-      if (c.failed.load(std::memory_order_acquire) ||
-          c.folds_known >= rung.fold_end) {
-        continue;  // already resolved (failed earlier, swept, or cached)
-      }
-      c.deferred = false;
-      c.deadline_set = false;
-      ++outstanding;
-      unit_queue.push_back(i);
+  // The per-unit cooperative state machine (Fig 2): look up → claim → on a
+  // denied claim defer and requeue until the result lands, the claim
+  // frees, or the local-compute deadline expires → compute.
+  void attempt(std::size_t i) {
+    Cand& c = *cands_[i];
+    std::size_t r;
+    bool retry;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      r = rung_index_;
+      retry = c.deferred;
     }
-    unblocked = outstanding;
-    if (outstanding == 0) {
-      seal_locked();
-      return;
-    }
-    dispatch_locked();
-  };
-
-  // A unit resolved (computed, adopted from a peer, or failed): release
-  // its window slot and seal the rung when it was the last one out.
-  unit_done = [&](std::size_t i) {
-    std::lock_guard<std::mutex> lock(mutex);
-    Cand& c = *cands[i];
-    if (!c.deferred) --unblocked;
-    c.deferred = false;
-    if (c.holds_token) {
-      c.holds_token = false;
-      ++tokens;
-    }
-    --outstanding;
-    dispatch_locked();
-    if (outstanding == 0) seal_locked();
-  };
-
-  // All of the unit's folds are in (or it failed): publish/release the
-  // rung-segment key, commit folds_known, resolve the unit.
-  finish_unit = [&](std::size_t i, std::size_t r) {
-    Cand& c = *cands[i];
-    const RungSpec& rung = plan.rungs[r];
-    const std::string key = rung_key(candidates[i].key, options.search, r);
-    const bool failed = c.failed.load(std::memory_order_acquire);
-    if (coop.cooperative() && !key.empty()) {
-      if (failed) {
-        coop.release(key);
-      } else {
-        CachedResult segment;
-        segment.fold_scores.assign(
-            c.fold_scores.begin() + static_cast<std::ptrdiff_t>(rung.fold_begin),
-            c.fold_scores.begin() + static_cast<std::ptrdiff_t>(rung.fold_end));
-        double sum = 0.0;
-        for (const double sc : segment.fold_scores) sum += sc;
-        segment.mean_score =
-            sum / static_cast<double>(segment.fold_scores.size());
-        double var = 0.0;
-        for (const double sc : segment.fold_scores) {
-          const double d = sc - segment.mean_score;
-          var += d * d;
+    const RungSpec& rung = plan_.rungs[r];
+    // One span per scheduling attempt, parented under the run's root via
+    // the ContextScope the submitting task installed. Cooperative calls
+    // and fold tasks all descend from it.
+    PROF_SCOPE("eval.candidate");
+    obs::ScopedSpan attempt_span("evaluator.candidate");
+    attempt_span.tag("path", candidates_[i].spec);
+    attempt_span.tag("rung", std::to_string(r));
+    if (retry) attempt_span.tag("retry", "1");
+    const std::string key = unit_key(i, r);
+    if (coop_.cooperative() && !key.empty()) {
+      // The sweep already looked up a base key, so a one-rung plan fetches
+      // only on a retry (the peer whose claim deferred us may have
+      // published since). Rung keys are invisible to the sweep: a racing
+      // plan probes them on every attempt, adopting a segment left by the
+      // deferring peer or by an earlier run.
+      if (retry || !base_keys_) {
+        if (auto hit = coop_.fetch(key)) {
+          if (adopt(i, rung, *hit, retry)) {
+            unit_done(i);
+            return;
+          }
         }
-        segment.stddev =
-            std::sqrt(var / static_cast<double>(segment.fold_scores.size()));
-        segment.explanation = candidates[i].spec;
-        coop.put(key, segment);
+      }
+      if (!coop_.claim(key) && defer(i)) return;
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (c.deferred) {
+        c.deferred = false;
+        ++unblocked_;
+        record_claim_wait_locked(i);
       }
     }
-    if (!failed) {
-      std::lock_guard<std::mutex> lock(mutex);
-      c.folds_known = rung.fold_end;
-      c.computed_any = true;
+    // Fan out one task per fold of the unit, so a slow candidate's folds
+    // spread over the workers. Fold tasks parent under this attempt's span
+    // (which may close first — parent links are ids, not lifetimes).
+    const obs::TraceContext fold_ctx = attempt_span.context();
+    c.folds_left.store(rung.folds(), std::memory_order_release);
+    for (std::size_t fold = rung.fold_begin; fold < rung.fold_end; ++fold) {
+      pool_->submit([this, i, fold, r, fold_ctx] {
+        obs::ContextScope trace_scope(fold_ctx, root_node_);
+        run_fold(i, fold, r);
+      });
     }
-    unit_done(i);
-  };
+  }
 
-  run_unit_fold = [&](std::size_t i, std::size_t fold, std::size_t r) {
-    Cand& c = *cands[i];
+  // Splices a published segment into the candidate. A malformed one
+  // (foreign publisher) is refused; the claim cycle then computes.
+  bool adopt(std::size_t i, const RungSpec& rung, const CachedResult& hit,
+             bool retry) {
+    if (hit.fold_scores.size() != rung.folds()) return false;
+    Cand& c = *cands_[i];
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::copy(hit.fold_scores.begin(), hit.fold_scores.end(),
+              c.fold_scores.begin() +
+                  static_cast<std::ptrdiff_t>(rung.fold_begin));
+    c.folds_known = rung.fold_end;
+    if (retry) record_claim_wait_locked(i);
+    return true;
+  }
+
+  void record_claim_wait_locked(std::size_t i) {
+    Cand& c = *cands_[i];
+    const double wait = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - c.block_start)
+                            .count();
+    c.claim_wait += wait;
+    obs::observe_scoped("evaluator.claim.wait_seconds", wait);
+    obs::CandidateCosts::instance().record_claim_wait(candidates_[i].spec,
+                                                      wait);
+  }
+
+  // Claim-blocked: park the unit on the timer wheel and let the workers
+  // keep scoring other units. No thread sleeps here. Returns false once
+  // the local-compute deadline has expired: the peer presumably died, so
+  // the unit computes without the claim and the rung always seals.
+  bool defer(std::size_t i) {
+    Cand& c = *cands_[i];
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto now = std::chrono::steady_clock::now();
+    if (!c.deferred) {
+      c.deferred = true;
+      c.block_start = now;
+      --unblocked_;
+      if (c.holds_token) {
+        c.holds_token = false;
+        ++tokens_;
+        dispatch_locked();
+      }
+      if (!c.was_deferred) {
+        c.was_deferred = true;
+        obs::count_scoped("evaluator.candidate.deferred");
+      }
+    }
+    if (c.deadline_set && now >= c.deadline) return false;
+    if (!c.deadline_set && unblocked_ == 0) {
+      // No local work left to hide the wait behind — start the deadline
+      // (peer-failure safety net). With every unit of the rung blocked,
+      // the seal cannot happen until somebody's result lands or this fires.
+      c.deadline_set = true;
+      c.deadline = now + std::chrono::milliseconds(options_.claim_wait_ms);
+    }
+    obs::count_scoped("eval.claim.requeued");
+    wheel_->schedule(std::chrono::milliseconds(options_.claim_poll_ms),
+                     [this, i] { submit_attempt(i); });
+    return true;
+  }
+
+  void run_fold(std::size_t i, std::size_t fold, std::size_t r) {
+    Cand& c = *cands_[i];
+    // A sibling fold already failed the candidate: skip the work, just
+    // balance the countdown.
     if (!c.failed.load(std::memory_order_acquire)) {
       PROF_SCOPE("eval.fold");
       obs::ScopedSpan fold_span("evaluator.fold");
-      fold_span.tag("path", candidates[i].spec);
+      fold_span.tag("path", candidates_[i].spec);
       fold_span.tag("fold", std::to_string(fold));
       fold_span.tag("rung", std::to_string(r));
-      obs::CandidateScope cost_scope(candidates[i].spec);
+      // Ambient attribution: PrefixCache hits/misses inside score_fold are
+      // charged to this candidate's cost row.
+      obs::CandidateScope cost_scope(candidates_[i].spec);
       try {
         Stopwatch fold_timer;
-        const double sc = candidates[i].score_fold(fold, prefixes);
+        const double sc = candidates_[i].score_fold(fold, prefixes_);
         c.fold_scores[fold] = sc;
         const double elapsed = fold_timer.elapsed_seconds();
         obs::observe_scoped("cv.fold.seconds", elapsed);
-        obs::CandidateCosts::instance().record_fold(candidates[i].spec,
+        obs::CandidateCosts::instance().record_fold(candidates_[i].spec,
                                                     elapsed);
-        local_fold_evals.fetch_add(1, std::memory_order_acq_rel);
-        std::lock_guard<std::mutex> lock(mutex);
+        local_fold_evals_.fetch_add(1, std::memory_order_acq_rel);
+        std::lock_guard<std::mutex> lock(mutex_);
         c.compute_seconds += elapsed;
       } catch (const std::exception& e) {
         bool expected = false;
         if (c.failed.compare_exchange_strong(expected, true,
                                              std::memory_order_acq_rel)) {
-          std::lock_guard<std::mutex> lock(mutex);
+          std::lock_guard<std::mutex> lock(mutex_);
           c.failure_message = e.what();
         }
       }
@@ -461,174 +532,162 @@ EvaluationReport run_halving_search(
     if (c.folds_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       finish_unit(i, r);
     }
-  };
+  }
 
-  attempt = [&](std::size_t i) {
-    Cand& c = *cands[i];
-    std::size_t r;
-    bool retry;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      r = rung_index;
-      retry = c.deferred;
-    }
-    const RungSpec& rung = plan.rungs[r];
-    PROF_SCOPE("eval.search.unit");
-    obs::ScopedSpan attempt_span("evaluator.candidate");
-    attempt_span.tag("path", candidates[i].spec);
-    attempt_span.tag("rung", std::to_string(r));
-    if (retry) attempt_span.tag("retry", "1");
-    const std::string key = rung_key(candidates[i].key, options.search, r);
-    if (coop.cooperative() && !key.empty()) {
-      // Adopt a published segment if one exists: on a retry that is the
-      // peer whose claim deferred us finishing; on a first attempt it is a
-      // segment left by an earlier run — rung keys are invisible to the
-      // base-key sweep, so they must be probed here before claiming.
-      if (auto hit = coop.fetch(key)) {
-        bool adopted = false;
-        double wait = -1.0;
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          const std::size_t want = rung.folds();
-          // A malformed segment (foreign publisher) is ignored — the
-          // claim cycle below falls through to local compute.
-          if (hit->fold_scores.size() == want) {
-            for (std::size_t f = 0; f < want; ++f) {
-              c.fold_scores[rung.fold_begin + f] = hit->fold_scores[f];
-            }
-            c.folds_known = rung.fold_end;
-            adopted = true;
-            if (retry) {
-              wait = seconds_between(c.block_start,
-                                     std::chrono::steady_clock::now());
-              c.claim_wait += wait;
-            }
-          }
-        }
-        if (adopted) {
-          if (wait >= 0.0) {
-            obs::observe_scoped("evaluator.claim.wait_seconds", wait);
-            obs::CandidateCosts::instance().record_claim_wait(
-                candidates[i].spec, wait);
-          }
-          unit_done(i);
-          return;
-        }
-      }
-      if (!coop.claim(key)) {
-        // Claim-blocked: park the unit on the timer wheel; workers keep
-        // racing other candidates. No thread sleeps here.
-        std::lock_guard<std::mutex> lock(mutex);
-        const auto block_now = std::chrono::steady_clock::now();
-        if (!c.deferred) {
-          c.deferred = true;
-          c.block_start = block_now;
-          --unblocked;
-          if (c.holds_token) {
-            c.holds_token = false;
-            ++tokens;
-            dispatch_locked();
-          }
-          if (!c.was_deferred) {
-            c.was_deferred = true;
-            obs::count_scoped("evaluator.candidate.deferred");
-          }
-        }
-        const bool expired = c.deadline_set && block_now >= c.deadline;
-        if (!expired) {
-          if (!c.deadline_set && unblocked == 0) {
-            // No local work left to hide the wait behind — start the
-            // local-compute deadline (peer-failure safety net). With every
-            // unit of the rung blocked, the seal cannot happen until
-            // somebody's result lands or this deadline fires.
-            c.deadline_set = true;
-            c.deadline = block_now + std::chrono::milliseconds(
-                                         options.claim_wait_ms);
-          }
-          obs::count_scoped("eval.claim.requeued");
-          wheel.schedule(std::chrono::milliseconds(options.claim_poll_ms),
-                         [&pool, &attempt, i, root_ctx, root_node] {
-                           pool.submit([&attempt, i, root_ctx, root_node] {
-                             obs::ContextScope trace_scope(root_ctx, root_node);
-                             attempt(i);
-                           });
-                         });
-          return;
-        }
-        // Deadline expired without a stored segment or a winnable claim:
-        // the peer presumably died. Compute locally without the claim so
-        // the rung always seals.
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (c.deferred) {
-          c.deferred = false;
-          ++unblocked;
-          const double wait = seconds_between(
-              c.block_start, std::chrono::steady_clock::now());
-          c.claim_wait += wait;
-          obs::observe_scoped("evaluator.claim.wait_seconds", wait);
-          obs::CandidateCosts::instance().record_claim_wait(
-              candidates[i].spec, wait);
-        }
+  // All of the unit's folds are in (or it failed): publish or release the
+  // unit key before the claim-window slot returns, so waiting peers are
+  // served early, then commit folds_known and resolve the unit.
+  void finish_unit(std::size_t i, std::size_t r) {
+    Cand& c = *cands_[i];
+    const RungSpec& rung = plan_.rungs[r];
+    const std::string key = unit_key(i, r);
+    const bool failed = c.failed.load(std::memory_order_acquire);
+    if (coop_.cooperative() && !key.empty()) {
+      if (failed) {
+        coop_.release(key);
+      } else {
+        coop_.put(key, summarize(c, rung.fold_begin, rung.fold_end,
+                                 candidates_[i].spec));
       }
     }
-    // Fan out one task per fold of the segment (a single fold on racing
-    // rungs, the full remainder on the final rung). Fold tasks parent
-    // under this attempt's span.
-    const obs::TraceContext fold_ctx = attempt_span.context();
-    c.folds_left.store(rung.folds(), std::memory_order_release);
-    for (std::size_t fold = rung.fold_begin; fold < rung.fold_end; ++fold) {
-      pool.submit([&run_unit_fold, i, fold, r, fold_ctx, root_node] {
-        obs::ContextScope trace_scope(fold_ctx, root_node);
-        run_unit_fold(i, fold, r);
-      });
+    if (!failed) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      c.folds_known = rung.fold_end;
+      c.computed_any = true;
     }
-  };
-
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    start_rung_locked();
+    unit_done(i);
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    done_cv.wait(lock, [&] { return all_done; });
-  }
-  // `wheel` (destroyed first) can no longer re-submit into `pool`; with
-  // the final rung sealed neither holds engine work.
 
-  report.fold_evaluations =
-      local_fold_evals.load(std::memory_order_acquire);
-  report.pruned_candidates = pruned_total;
-
-  // Best = best full-CV, non-failed candidate (survivors of the final
-  // rung plus anything served whole from the cooperative cache). Pruned
-  // candidates carry partial scores and are not eligible. Order-stable:
-  // earlier candidate wins ties, exactly like the exhaustive path.
-  bool found = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const CandidateResult& res = report.results[i];
-    report.total_claim_wait_seconds += res.claim_wait_seconds;
-    if (res.failed) continue;
-    if (res.from_cache) {
-      ++report.served_from_cache;
-    } else {
-      ++report.evaluated_locally;
+  // A unit resolved (computed, adopted from a peer, or failed): release
+  // its window slot and seal the rung when it was the last one out.
+  void unit_done(std::size_t i) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    Cand& c = *cands_[i];
+    if (!c.deferred) --unblocked_;
+    c.deferred = false;
+    if (c.holds_token) {
+      c.holds_token = false;
+      ++tokens_;
     }
-    if (res.fold_scores.size() != n_folds) continue;  // pruned: partial CV
-    if (!found) {
-      report.best_index = i;
-      found = true;
-      continue;
-    }
-    const CandidateResult& best = report.results[report.best_index];
-    const bool better = maximize ? res.mean_score > best.mean_score
-                                 : res.mean_score < best.mean_score;
-    if (better) report.best_index = i;
+    --outstanding_;
+    dispatch_locked();
+    if (outstanding_ == 0) seal_locked();
   }
-  require_state(found, "EvalEngine: every candidate failed");
-  report.total_seconds = total_timer.elapsed_seconds();
-  return report;
+
+  // A racing plan's final-rung survivors republish their full-CV result
+  // under the plain base key, so exhaustive peers and future runs hit the
+  // sweep (the store is idempotent for the bit-identical value every
+  // client assembles). Runs after the final seal, outside the mutex.
+  void publish_survivors() {
+    if (base_keys_ || !coop_.cooperative()) return;
+    for (const std::size_t i : entrants_) {
+      const CandidateResult& out = report_.results[i];
+      if (cands_[i]->swept || out.failed || candidates_[i].key.empty() ||
+          out.fold_scores.size() != plan_.n_folds) {
+        continue;
+      }
+      coop_.put(candidates_[i].key,
+                CachedResult{out.mean_score, out.stddev, out.fold_scores,
+                             candidates_[i].spec});
+    }
+  }
+
+  // Best = best full-CV, non-failed candidate (final-rung entrants plus
+  // anything served whole from the cooperative cache). Pruned candidates
+  // carry partial scores and are not eligible. Order-stable: the earlier
+  // candidate wins ties.
+  void pick_best() {
+    bool found = false;
+    for (std::size_t i = 0; i < report_.results.size(); ++i) {
+      const CandidateResult& res = report_.results[i];
+      report_.total_claim_wait_seconds += res.claim_wait_seconds;
+      if (res.failed) continue;
+      if (res.from_cache) {
+        ++report_.served_from_cache;
+      } else {
+        ++report_.evaluated_locally;
+      }
+      if (res.fold_scores.size() != plan_.n_folds) continue;  // pruned
+      const double best = report_.results[report_.best_index].mean_score;
+      if (!found ||
+          (maximize_ ? res.mean_score > best : res.mean_score < best)) {
+        report_.best_index = i;
+        found = true;
+      }
+    }
+    require_state(found, "EvalEngine: every candidate failed");
+  }
+
+  /// Mean and population stddev over folds [begin, end) of `c`,
+  /// accumulated in fold order. Every published record and report row
+  /// goes through here, so a result assembled from peers' segments is
+  /// bit-identical to a local one.
+  static CachedResult summarize(const Cand& c, std::size_t begin,
+                                std::size_t end, const std::string& spec) {
+    CachedResult result;
+    result.fold_scores.assign(
+        c.fold_scores.begin() + static_cast<std::ptrdiff_t>(begin),
+        c.fold_scores.begin() + static_cast<std::ptrdiff_t>(end));
+    result.explanation = spec;
+    if (begin == end) return result;
+    const double k = static_cast<double>(end - begin);
+    double sum = 0.0;
+    for (const double sc : result.fold_scores) sum += sc;
+    result.mean_score = sum / k;
+    double var = 0.0;
+    for (const double sc : result.fold_scores) {
+      const double d = sc - result.mean_score;
+      var += d * d;
+    }
+    result.stddev = std::sqrt(var / k);
+    return result;
+  }
+
+  const EvalOptions& options_;
+  const std::vector<EvalEngine::Candidate>& candidates_;
+  const HalvingPlan& plan_;
+  const bool base_keys_;  ///< one-rung plan: units use the plain base key
+  const bool maximize_;
+  const std::vector<std::size_t> tie_rank_;
+  // Captured for pool/wheel tasks: thread-local parenting does not cross
+  // a submit(), so every task re-installs the root context (and the node
+  // attribution of the simulated client driving this run).
+  obs::TraceContext root_ctx_;
+  std::string root_node_;
+
+  EvaluationReport report_;
+  CooperativeFetch coop_;
+  PrefixCache prefixes_;
+  std::vector<std::unique_ptr<Cand>> cands_;
+  std::atomic<std::size_t> local_fold_evals_{0};
+
+  std::mutex mutex_;
+  std::condition_variable done_cv_;
+  bool all_done_ = false;
+  std::size_t rung_index_ = 0;
+  std::vector<std::size_t> entrants_;
+  std::size_t outstanding_ = 0;  ///< unresolved units in the current rung
+  std::size_t unblocked_ = 0;    ///< unresolved units not claim-blocked
+  std::deque<std::size_t> unit_queue_;
+  // Claim window: at most pool-size units are claimed-but-unfinished at
+  // once, so a client claims work just before it has the capacity to
+  // score it — claiming the whole graph up front would starve peers.
+  std::size_t tokens_ = 0;
+  std::size_t pruned_total_ = 0;
+
+  // Declared last so they are destroyed first: the wheel stops
+  // re-submitting, then the pool joins its workers while everything their
+  // tasks touch is still alive. Built only when some unit has to run.
+  std::optional<ThreadPool> pool_;
+  std::optional<TimerWheel> wheel_;
+};
+
+}  // namespace
+
+EvaluationReport run_plan(const EvalOptions& options,
+                          const std::vector<EvalEngine::Candidate>& candidates,
+                          const HalvingPlan& plan) {
+  return PlanRun(options, candidates, plan).execute();
 }
 
 }  // namespace detail

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -170,7 +171,9 @@ class SimNet {
   Config config_;
   mutable std::mutex mutex_;  // transfer() is called from evaluator threads
   double clock_ = 0.0;
-  std::vector<std::string> node_names_;
+  // A deque: node_name() hands out references that callers read after the
+  // lock is released, so a concurrent add_node() must never move them.
+  std::deque<std::string> node_names_;
   std::map<std::pair<NodeId, NodeId>, LinkStats> links_;
   bool faults_enabled_ = false;
   FaultConfig faults_;

@@ -22,8 +22,7 @@ void CandidateCosts::record_fold(const std::string& path, double seconds) {
 }
 
 void CandidateCosts::record_cached(const std::string& path) {
-  static auto& cached_metric = counter("eval.candidate.cached");
-  cached_metric.inc();
+  // No counter of its own: every caller counts evaluator.candidate.cached.
   std::lock_guard<std::mutex> lock(mutex_);
   ++table_[path].cached;
 }

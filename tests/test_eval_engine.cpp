@@ -248,6 +248,35 @@ TEST(EvalEngine, ExpiredClaimDeadlineFallsBackToLocalCompute) {
   EXPECT_GE(report.results[0].claim_wait_seconds, 0.045);
 }
 
+TEST(EvalEngine, MalformedBaseKeyRecordIsRecomputedNotServed) {
+  // A foreign client stored a 1-fold record under the full-CV key K. Its
+  // score beats every real one, but it is not a 2-fold result: the sweep
+  // must ignore it, and K must be computed locally and lose on merit.
+  LocalResultCache cache;
+  CachedResult malformed;
+  malformed.mean_score = 0.0;
+  malformed.fold_scores = {0.0};
+  cache.put("K", malformed);
+  EvalOptions options;
+  options.threads = 2;
+  options.cache = &cache;
+  EvalEngine engine(options);
+  std::vector<EvalEngine::Candidate> candidates;
+  candidates.push_back(keyed_candidate("malformed", "K"));  // folds 1.0, 2.0
+  EvalEngine::Candidate other = keyed_candidate("other", "O");
+  other.score_fold = [](std::size_t, PrefixCache&) { return 1.25; };
+  candidates.push_back(std::move(other));
+  const auto report = engine.run(std::move(candidates), 2);
+  EXPECT_FALSE(report.results[0].from_cache);
+  EXPECT_EQ(report.results[0].fold_scores.size(), 2u);
+  EXPECT_DOUBLE_EQ(report.results[0].mean_score, 1.5);
+  EXPECT_EQ(report.best().spec, "other");
+  // The local full-CV result replaced the malformed record.
+  const auto stored = cache.fetch("K");
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->fold_scores.size(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Memoization transparency: identical results with the cache on and off
 

@@ -1,15 +1,21 @@
 // Successive-halving search scheduler (DESIGN.md §16, ctest label
 // `search`): seeded property suite for the rung math plus engine-level
 // behaviour — halving/exhaustive identity, partial-eval accounting for
-// pruned candidates, seeded tie-breaking, and cooperative rung-segment
-// reuse through a ResultCache.
+// pruned candidates, seeded tie-breaking, cooperative rung-segment reuse
+// through a ResultCache, and the DARR op sequence of each plan shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/eval_engine.h"
@@ -216,7 +222,7 @@ TEST(SearchScheduler, HalvingMatchesExhaustiveOnOrderedField) {
   EXPECT_LT(report.fold_evaluations, ref.fold_evaluations);
   EXPECT_EQ(ref.fold_evaluations, n * folds);
   EXPECT_EQ(ref.fold_evaluations_planned, n * folds);
-  EXPECT_EQ(ref.rungs, 0u);  // exhaustive reports no rungs
+  EXPECT_EQ(ref.rungs, 1u);  // exhaustive is the one-rung plan
 
   // Pruned rows: count matches the plan's cuts, survivors are unpruned.
   std::size_t pruned = 0;
@@ -434,6 +440,174 @@ TEST(SearchScheduler, SearchMetricsAndPrunedCostsAreRecorded) {
     ASSERT_NE(it, costs.end()) << c.spec;
     EXPECT_EQ(it->second.pruned_at_rung, c.pruned_at_rung) << c.spec;
     EXPECT_EQ(it->second.folds, c.fold_scores.size()) << c.spec;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// DARR traffic per plan shape: a recording ResultCache decorator logs every
+// (op, key) the executor issues.
+
+class RecordingCache final : public ResultCache {
+ public:
+  struct Op {
+    std::string op;
+    std::string key;
+  };
+
+  explicit RecordingCache(ResultCache* inner) : inner_(inner) {}
+
+  std::optional<CachedResult> fetch(const std::string& key) override {
+    log("fetch", key);
+    return inner_->fetch(key);
+  }
+  std::vector<std::optional<CachedResult>> fetch_many(
+      const std::vector<std::string>& keys) override {
+    log("fetch_many", "");
+    return inner_->fetch_many(keys);
+  }
+  bool claim(const std::string& key) override {
+    log("claim", key);
+    return inner_->claim(key);
+  }
+  void put(const std::string& key, const CachedResult& result) override {
+    log("put", key);
+    inner_->put(key, result);
+  }
+  void release(const std::string& key) override {
+    log("release", key);
+    inner_->release(key);
+  }
+
+  std::vector<Op> ops() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ops_;
+  }
+
+ private:
+  void log(const char* op, const std::string& key) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ops_.push_back(Op{op, key});
+  }
+
+  ResultCache* inner_;
+  mutable std::mutex mutex_;
+  std::vector<Op> ops_;
+};
+
+bool is_rung_key(const std::string& key) {
+  return key.find("|shr|") != std::string::npos;
+}
+
+// The one-rung contract: exactly one fetch_many (first), no fetch of a key
+// before its first claim, exactly one put per locally computed key, and no
+// rung-qualified key anywhere.
+void expect_base_key_traffic(const std::vector<RecordingCache::Op>& ops,
+                             const EvaluationReport& report) {
+  ASSERT_FALSE(ops.empty());
+  EXPECT_EQ(ops.front().op, "fetch_many");
+  std::size_t sweeps = 0;
+  std::set<std::string> claimed;
+  std::map<std::string, std::size_t> puts;
+  for (const auto& op : ops) {
+    EXPECT_FALSE(is_rung_key(op.key)) << op.op << " " << op.key;
+    if (op.op == "fetch_many") ++sweeps;
+    if (op.op == "claim") claimed.insert(op.key);
+    if (op.op == "fetch") {
+      EXPECT_EQ(claimed.count(op.key), 1u) << "fetch before claim: " << op.key;
+    }
+    if (op.op == "put") ++puts[op.key];
+  }
+  EXPECT_EQ(sweeps, 1u);
+  for (const auto& r : report.results) {
+    const std::size_t expected = r.from_cache ? 0u : 1u;
+    EXPECT_EQ(puts["key|" + r.spec], expected) << r.spec;
+  }
+}
+
+TEST(SearchTraffic, ExhaustiveClaimsBaseKeysAndFetchesOnlyOnRetry) {
+  // A peer holds cand0's claim and publishes it ~40 ms in, so cand0 is
+  // denied, requeued, and served by a retry fetch.
+  LocalResultCache store;
+  ASSERT_TRUE(store.claim("key|cand0"));
+  std::thread peer([&store] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    CachedResult r;
+    r.mean_score = 9.0;
+    r.fold_scores = {9.0, 9.0, 9.0};
+    store.put("key|cand0", r);
+  });
+  RecordingCache recorder(&store);
+  EvalOptions options;
+  options.threads = 2;
+  options.cache = &recorder;
+  options.claim_poll_ms = 5;
+  options.claim_wait_ms = 2000;
+  const auto report = run_engine(ranked_field(6, /*keyed=*/true), 3, options);
+  peer.join();
+  EXPECT_TRUE(report.results[0].from_cache);
+  EXPECT_EQ(report.evaluated_locally, 5u);
+  const auto ops = recorder.ops();
+  expect_base_key_traffic(ops, report);
+  EXPECT_GE(std::count_if(ops.begin(), ops.end(),
+                          [](const RecordingCache::Op& op) {
+                            return op.op == "fetch";
+                          }),
+            1);  // the retry looked again
+}
+
+TEST(SearchTraffic, DegenerateHalvingPlansUseBaseKeys) {
+  // One candidate, or one fold: the halving plan has a single rung and
+  // must talk to the DARR exactly like an exhaustive search.
+  for (const auto& [n, folds] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{1, 5}, {6, 1}}) {
+    SCOPED_TRACE(std::to_string(n) + "x" + std::to_string(folds));
+    LocalResultCache store;
+    RecordingCache recorder(&store);
+    EvalOptions options;
+    options.threads = 2;
+    options.cache = &recorder;
+    options.search.strategy = SearchStrategy::kHalving;
+    const auto report =
+        run_engine(ranked_field(n, /*keyed=*/true), folds, options);
+    EXPECT_EQ(report.rungs, 1u);
+    EXPECT_EQ(report.evaluated_locally, n);
+    expect_base_key_traffic(recorder.ops(), report);
+  }
+}
+
+TEST(SearchTraffic, RacingPlanUsesRungKeysPlusOneBasePutPerSurvivor) {
+  LocalResultCache store;
+  RecordingCache recorder(&store);
+  EvalOptions options;
+  options.threads = 2;
+  options.cache = &recorder;
+  options.search.strategy = SearchStrategy::kHalving;
+  const auto report = run_engine(ranked_field(9, /*keyed=*/true), 3, options);
+  const auto plan = HalvingPlan::build(9, 3, 2);
+  std::size_t units = 0;
+  for (const auto& rung : plan.rungs) units += rung.entrants;
+
+  std::set<std::string> fetched;
+  std::size_t rung_puts = 0;
+  std::set<std::string> base_puts;
+  for (const auto& op : recorder.ops()) {
+    if (op.op == "fetch") fetched.insert(op.key);
+    if (op.op == "claim") {
+      EXPECT_TRUE(is_rung_key(op.key)) << op.key;
+      EXPECT_EQ(fetched.count(op.key), 1u) << "claim without fetch: " << op.key;
+    }
+    if (op.op != "put") continue;
+    if (is_rung_key(op.key)) {
+      ++rung_puts;
+    } else {
+      EXPECT_TRUE(base_puts.insert(op.key).second) << "second put: " << op.key;
+    }
+  }
+  EXPECT_EQ(rung_puts, units);
+  EXPECT_EQ(base_puts.size(), plan.rungs.back().entrants);
+  for (const auto& r : report.results) {
+    EXPECT_EQ(base_puts.count("key|" + r.spec), r.pruned_at_rung < 0 ? 1u : 0u)
+        << r.spec;
   }
 }
 

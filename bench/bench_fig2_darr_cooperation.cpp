@@ -157,15 +157,13 @@ void print_fig2() {
 
   // Claim-TTL ablation: a client that claims and never stores. Another
   // client must steal the claim after the TTL rather than deadlock.
-  darr::DarrRepository::Config short_ttl;
-  short_ttl.claim_ttl_ms = 30;
-  darr::DarrRepository repo(short_ttl);
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
-  const auto dead_node = net.add_node("dead");
-  const auto live_node = net.add_node("live");
-  darr::DarrClient dead(&repo, &net, dead_node, repo_node, "dead");
-  darr::DarrClient live(&repo, &net, live_node, repo_node, "live");
+  darr::DarrCluster repo(
+      &net, {.n_shards = 1, .replication = 1, .claim_ttl_ms = 30});
+  darr::ShardedDarrService dead_service(&repo, net.add_node("dead"));
+  darr::ShardedDarrService live_service(&repo, net.add_node("live"));
+  darr::DarrClient dead(&dead_service, "dead");
+  darr::DarrClient live(&live_service, "live");
   dead.claim("candidate_x");  // crashes here, never stores
   std::size_t retries = 0;
   while (!live.claim("candidate_x")) {
@@ -184,11 +182,10 @@ void print_fig2() {
 }
 
 void BM_DarrLookupStore(benchmark::State& state) {
-  darr::DarrRepository repo;
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
-  const auto client_node = net.add_node("c");
-  darr::DarrClient client(&repo, &net, client_node, repo_node, "c");
+  darr::DarrCluster repo(&net, {.n_shards = 1, .replication = 1});
+  darr::ShardedDarrService service(&repo, net.add_node("c"));
+  darr::DarrClient client(&service, "c");
   CachedResult result;
   result.fold_scores = {0.1, 0.2, 0.3, 0.4, 0.5};
   result.explanation = "standardscaler -> randomforest";
@@ -202,11 +199,10 @@ void BM_DarrLookupStore(benchmark::State& state) {
 BENCHMARK(BM_DarrLookupStore);
 
 void BM_DarrClaim(benchmark::State& state) {
-  darr::DarrRepository repo;
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
-  const auto client_node = net.add_node("c");
-  darr::DarrClient client(&repo, &net, client_node, repo_node, "c");
+  darr::DarrCluster repo(&net, {.n_shards = 1, .replication = 1});
+  darr::ShardedDarrService service(&repo, net.add_node("c"));
+  darr::DarrClient client(&service, "c");
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.claim("k" + std::to_string(i++)));

@@ -4,7 +4,7 @@
 // to-thousand-client scale, plus the acceptance run — a 512-client
 // cooperative Fig-11 forecast search over 4 shards at replication factor
 // 2 under a seeded chaos fault model, which must elect the identical best
-// pipeline as the single-repository topology with zero redundant
+// pipeline as the single-shard topology with zero redundant
 // evaluations.
 //
 // The sweep and acceptance sections run the fleet serially

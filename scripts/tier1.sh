@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate (ROADMAP.md): plain build + full test suite, the chaos and
-# search-executor suites again under thread sanitizer and under
-# address+undefined-behaviour sanitizers, and the bench regression gate. A
-# chaos failure prints the fault schedule (seed, drop rate, partition/
-# crash windows) to replay.
+# Tier-1 gate (ROADMAP.md): plain build + full test suite, every
+# tsan-labelled suite again under thread sanitizer, the chaos, executor and
+# DARR suites under address+undefined-behaviour sanitizers, and the bench
+# regression gate. A chaos failure prints the fault schedule (seed, drop
+# rate, partition/crash windows) to replay.
 #
 #   scripts/tier1.sh                      # gate against committed baselines
 #   scripts/tier1.sh --update-baselines   # re-baseline after an intentional
@@ -36,33 +36,30 @@ scripts/trace_check.sh build
 echo "== tier 1: folded-profile export + reset contract =="
 scripts/profile_check.sh build
 
-# The search executor's suites (test_eval_engine, test_search_scheduler,
-# test_evaluator) drive its claim window, timer-wheel requeues and
-# cross-thread seals.
-EXECUTOR_SUITES="test_eval_engine test_search_scheduler test_evaluator"
-EXECUTOR_RE='^(test_eval_engine|test_search_scheduler|test_evaluator)$'
-
-echo "== tier 1: chaos + executor + plan-differential + profiler suites under ThreadSanitizer =="
+# Every suite labelled `tsan` in tests/CMakeLists.txt (the chaos, executor,
+# plan-differential, profiler, fleet, telemetry and trace suites, among
+# others) runs under ThreadSanitizer; the label list is read back from
+# ctest, so the build and the run cannot drift apart.
+echo "== tier 1: every tsan-labelled suite under ThreadSanitizer =="
 cmake -B build-tsan -S . -DCODA_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"$(nproc)" \
-    --target test_chaos test_plan_compiler test_profiler ${EXECUTOR_SUITES}
-ctest --test-dir build-tsan -L chaos --output-on-failure
-ctest --test-dir build-tsan -R "${EXECUTOR_RE}" --output-on-failure
-ctest --test-dir build-tsan -R '^test_plan_compiler$' --output-on-failure
-# The profiler's lock-free arenas and the pool/timerwheel instrumentation
-# get their data-race probe here (the submit storm in test_profiler).
-ctest --test-dir build-tsan -R '^test_profiler$' --output-on-failure
+TSAN_SUITES=$(ctest --test-dir build-tsan -L tsan -N |
+    sed -n 's/^ *Test *#[0-9]*: *//p')
+cmake --build build-tsan -j"$(nproc)" --target ${TSAN_SUITES}
+ctest --test-dir build-tsan -L tsan --output-on-failure
 
 # The executor's tasks capture its state by reference and rely on the
 # wheel-then-pool destruction order; AddressSanitizer catches a task that
-# outlives them, UBSan any undefined arithmetic on the way.
-echo "== tier 1: chaos + executor suites under AddressSanitizer + UBSan =="
+# outlives them, UBSan any undefined arithmetic on the way. The DARR suites
+# (client, record stores, fleet runner, trace) run here too.
+ASAN_SUITES="test_chaos test_eval_engine test_search_scheduler test_evaluator
+    test_darr test_record_store test_fleet test_cooperative test_integration
+    test_trace"
+ASAN_RE="^($(echo ${ASAN_SUITES} | tr ' ' '|'))\$"
+echo "== tier 1: chaos + executor + DARR suites under AddressSanitizer + UBSan =="
 cmake -B build-asan -S . -DCODA_SANITIZE=address,undefined >/dev/null
-cmake --build build-asan -j"$(nproc)" --target test_chaos ${EXECUTOR_SUITES}
+cmake --build build-asan -j"$(nproc)" --target ${ASAN_SUITES}
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest --test-dir build-asan -L chaos --output-on-failure
-UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest --test-dir build-asan -R "${EXECUTOR_RE}" --output-on-failure
+    ctest --test-dir build-asan -R "${ASAN_RE}" --output-on-failure
 
 echo "== tier 1: bench regression gate (scripts/bench_gate.py) =="
 python3 scripts/bench_gate.py --self-test

@@ -10,13 +10,6 @@ namespace coda::darr {
 
 namespace {
 
-std::string next_instance_prefix() {
-  // Central id source: obs::reset_all() rewinds it so back-to-back runs
-  // in one process mint identical instance names.
-  return "darr.client#" +
-         std::to_string(obs::next_instance_id("darr.client")) + ".";
-}
-
 CachedResult to_cached(const DarrRecord& record) {
   CachedResult result;
   result.mean_score = record.mean_score;
@@ -34,14 +27,6 @@ DarrClient::DarrClient(RecordStore* store, std::string client_name,
   require(store != nullptr, "DarrClient: null record store");
   retry_.validate();
   require(!name_.empty(), "DarrClient: client name must be non-empty");
-  const std::string prefix = next_instance_prefix();
-  stats_.lookups = &obs::counter(prefix + "lookups");
-  stats_.hits = &obs::counter(prefix + "hits");
-  stats_.claims_won = &obs::counter(prefix + "claims_won");
-  stats_.claims_lost = &obs::counter(prefix + "claims_lost");
-  stats_.stores = &obs::counter(prefix + "stores");
-  stats_.bytes_sent = &obs::counter(prefix + "bytes_sent");
-  stats_.bytes_received = &obs::counter(prefix + "bytes_received");
   // Fleet telemetry: the darr.client.* families write the process-wide
   // registry AND this client's node shard through one handle.
   auto& scope = obs::MetricScope::for_node(name_);
@@ -57,22 +42,9 @@ DarrClient::DarrClient(RecordStore* store, std::string client_name,
   family_.bytes_received = family("darr.client.bytes_received");
 }
 
-DarrClient::DarrClient(std::unique_ptr<RecordStore> owned_store,
-                       std::string client_name, RetryPolicy retry)
-    : DarrClient(owned_store.get(), std::move(client_name), retry) {
-  owned_store_ = std::move(owned_store);
-}
-
-DarrClient::DarrClient(DarrRepository* repository, dist::SimNet* net,
-                       dist::NodeId self, dist::NodeId repo_node,
-                       std::string client_name, RetryPolicy retry)
-    : DarrClient(std::make_unique<SingleNodeDarrService>(
-                     repository, net, self, repo_node, retry),
-                 std::move(client_name), retry) {}
-
 void DarrClient::count_traffic(const Wire& wire) {
-  stats_.bytes_sent->inc(wire.bytes_sent);
-  stats_.bytes_received->inc(wire.bytes_received);
+  stats_.bytes_sent.inc(wire.bytes_sent);
+  stats_.bytes_received.inc(wire.bytes_received);
   family_.bytes_sent.inc(wire.bytes_sent);
   family_.bytes_received.inc(wire.bytes_received);
 }
@@ -92,10 +64,10 @@ std::optional<CachedResult> DarrClient::fetch(const std::string& key) {
   obs::ScopedSpan op_span("darr.client.lookup");
   Wire wire;
   const auto record = store_->fetch(key, wire);
-  stats_.lookups->inc();
+  stats_.lookups.inc();
   family_.lookups.inc();
   if (record) {
-    stats_.hits->inc();
+    stats_.hits.inc();
     family_.hits.inc();
   }
   count_traffic(wire);
@@ -122,8 +94,8 @@ std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
       out.push_back(std::nullopt);
     }
   }
-  stats_.lookups->inc(keys.size());
-  stats_.hits->inc(found);
+  stats_.lookups.inc(keys.size());
+  stats_.hits.inc(found);
   family_.lookups.inc(keys.size());
   family_.hits.inc(found);
   count_traffic(wire);
@@ -145,10 +117,10 @@ bool DarrClient::claim(const std::string& key) {
   }
   if (granted) track_claim(key);
   if (granted) {
-    stats_.claims_won->inc();
+    stats_.claims_won.inc();
     family_.claims_won.inc();
   } else {
-    stats_.claims_lost->inc();
+    stats_.claims_lost.inc();
     family_.claims_lost.inc();
   }
   count_traffic(wire);
@@ -174,7 +146,7 @@ void DarrClient::put(const std::string& key, const CachedResult& result) {
     throw;
   }
   untrack_claim(key);
-  stats_.stores->inc();
+  stats_.stores.inc();
   family_.stores.inc();
   count_traffic(wire);
 }
@@ -235,13 +207,13 @@ bool DarrClient::holds_claim(const std::string& key) const {
 
 DarrClient::Stats DarrClient::stats() const {
   Stats out;
-  out.lookups = stats_.lookups->value();
-  out.hits = stats_.hits->value();
-  out.claims_won = stats_.claims_won->value();
-  out.claims_lost = stats_.claims_lost->value();
-  out.stores = stats_.stores->value();
-  out.bytes_sent = stats_.bytes_sent->value();
-  out.bytes_received = stats_.bytes_received->value();
+  out.lookups = stats_.lookups.value();
+  out.hits = stats_.hits.value();
+  out.claims_won = stats_.claims_won.value();
+  out.claims_lost = stats_.claims_lost.value();
+  out.stores = stats_.stores.value();
+  out.bytes_sent = stats_.bytes_sent.value();
+  out.bytes_received = stats_.bytes_received.value();
   return out;
 }
 

@@ -1,19 +1,16 @@
-// DARR client: adapts a RecordStore — one repository node, a sharded
-// cluster, or a test fake — to the core ResultCache interface so a
-// GraphEvaluator cooperates transparently (Fig 2), with every repository
-// interaction accounted as simulated network traffic through the store's
-// Wire reporting.
+// DARR client: adapts a RecordStore — a sharded cluster (one shard for the
+// paper's single repository), an in-process repository, or a test fake —
+// to the core ResultCache interface so a GraphEvaluator cooperates
+// transparently (Fig 2), with every repository interaction accounted as
+// simulated network traffic through the store's Wire reporting.
 #pragma once
 
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 
 #include "src/core/evaluator.h"
 #include "src/darr/record_store.h"
-#include "src/darr/repository.h"
-#include "src/dist/sim_net.h"
 #include "src/obs/metrics.h"
 #include "src/util/retry.h"
 
@@ -22,8 +19,8 @@ namespace coda::darr {
 /// ResultCache implementation backed by any RecordStore topology.
 class DarrClient final : public ResultCache {
  public:
-  /// Per-client traffic/behaviour snapshot. Backed by registry counters
-  /// (`darr.client#<n>.*`); this struct is a point-in-time view.
+  /// Per-client traffic/behaviour snapshot: a point-in-time view of this
+  /// instance's own (unregistered) counters.
   struct Stats {
     std::size_t lookups = 0;
     std::size_t hits = 0;
@@ -32,23 +29,18 @@ class DarrClient final : public ResultCache {
     std::size_t stores = 0;
     std::size_t bytes_sent = 0;
     std::size_t bytes_received = 0;
+
+    bool operator==(const Stats&) const = default;
   };
 
-  /// Canonical constructor: any RecordStore (SingleNodeDarrService,
-  /// ShardedDarrService, an in-process DarrRepository, a test fake).
-  /// `client_name` identifies this client as a record producer and claim
-  /// holder; `retry` paces abandon_all()'s release passes. Store operations
-  /// that throw NetworkError (their own retry budget spent) propagate to
-  /// the evaluator's CooperativeFetch, which degrades to local evaluation.
+  /// Any RecordStore (ShardedDarrService, an in-process DarrRepository, a
+  /// test fake). `client_name` identifies this client as a record producer
+  /// and claim holder; `retry` paces abandon_all()'s release passes. Store
+  /// operations that throw NetworkError (their own retry budget spent)
+  /// propagate to the evaluator's CooperativeFetch, which degrades to
+  /// local evaluation.
   DarrClient(RecordStore* store, std::string client_name,
              RetryPolicy retry = {});
-
-  /// Single-repository convenience: wires an owned SingleNodeDarrService
-  /// over `net` between `self` and `repo_node` (the original Fig-2
-  /// topology), with `retry` as its transfer budget.
-  DarrClient(DarrRepository* repository, dist::SimNet* net,
-             dist::NodeId self, dist::NodeId repo_node,
-             std::string client_name, RetryPolicy retry = {});
 
   // ResultCache canonical surface (the deprecated lookup/try_claim/store/
   // abandon spellings delegate here via the base class).
@@ -78,19 +70,16 @@ class DarrClient final : public ResultCache {
   std::vector<std::string> held_claims() const;
 
  private:
-  DarrClient(std::unique_ptr<RecordStore> owned_store,
-             std::string client_name, RetryPolicy retry);
-
-  /// Registry-backed instance counters; atomic, so evaluator threads need
-  /// no client-side lock.
+  /// This instance's counters, never registered (the stats() view);
+  /// atomic, so evaluator threads need no client-side lock.
   struct InstanceCounters {
-    obs::Counter* lookups = nullptr;
-    obs::Counter* hits = nullptr;
-    obs::Counter* claims_won = nullptr;
-    obs::Counter* claims_lost = nullptr;
-    obs::Counter* stores = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* bytes_received = nullptr;
+    obs::Counter lookups;
+    obs::Counter hits;
+    obs::Counter claims_won;
+    obs::Counter claims_lost;
+    obs::Counter stores;
+    obs::Counter bytes_sent;
+    obs::Counter bytes_received;
   };
 
   /// Process-wide `darr.client.*` family counters paired with this
@@ -110,7 +99,6 @@ class DarrClient final : public ResultCache {
   void untrack_claim(const std::string& key);
   bool holds_claim(const std::string& key) const;
 
-  std::unique_ptr<RecordStore> owned_store_;  ///< legacy-ctor service
   RecordStore* store_;
   std::string name_;
   RetryPolicy retry_;

@@ -16,31 +16,19 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
                                         const FleetOptions& options,
                                         const ClientSession& session) {
   require(options.n_clients >= 1, "run_cooperative_fleet: need >= 1 client");
+  require(options.n_shards >= 1, "run_cooperative_fleet: need >= 1 shard");
   const std::size_t n_clients = options.n_clients;
 
   dist::SimNet net;
   if (options.faults) net.set_faults(*options.faults);
 
-  // Repository tier: one "darr" node, or a consistent-hash cluster of
-  // shard nodes (DESIGN.md §13). Either way the clients only ever see a
-  // RecordStore.
-  std::unique_ptr<DarrRepository> repository;
-  std::unique_ptr<DarrCluster> cluster;
-  dist::NodeId repo_node = 0;
-  if (options.n_shards == 0) {
-    DarrRepository::Config repo_config;
-    repo_config.claim_ttl_ms = options.claim_ttl_ms;
-    repository = std::make_unique<DarrRepository>(repo_config);
-    repo_node = net.add_node("darr");
-  } else {
-    DarrCluster::Config cluster_config;
-    cluster_config.n_shards = options.n_shards;
-    cluster_config.replication = options.replication;
-    cluster_config.ring_points = options.ring_points;
-    cluster_config.claim_ttl_ms = options.claim_ttl_ms;
-    cluster_config.sync_retry = options.retry;
-    cluster = std::make_unique<DarrCluster>(&net, cluster_config);
-  }
+  // Repository tier: a consistent-hash cluster of shard nodes (DESIGN.md
+  // §13); the clients only ever see a RecordStore.
+  DarrCluster cluster(&net, {.n_shards = options.n_shards,
+                             .replication = options.replication,
+                             .ring_points = options.ring_points,
+                             .claim_ttl_ms = options.claim_ttl_ms,
+                             .sync_retry = options.retry});
   const dist::NodeId telemetry_node = net.add_node("telemetry");
 
   std::shared_ptr<obs::TelemetryCollector> collector;
@@ -53,7 +41,7 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
     }
   }
 
-  std::vector<std::unique_ptr<RecordStore>> services;
+  std::vector<std::unique_ptr<ShardedDarrService>> services;
   std::vector<std::unique_ptr<DarrClient>> clients;
   std::vector<std::unique_ptr<dist::TelemetryReporter>> reporters;
   services.reserve(n_clients);
@@ -61,13 +49,8 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
   for (std::size_t i = 0; i < n_clients; ++i) {
     const std::string name = "client" + std::to_string(i);
     const dist::NodeId node = net.add_node(name);
-    if (cluster) {
-      services.push_back(std::make_unique<ShardedDarrService>(
-          cluster.get(), node, options.retry));
-    } else {
-      services.push_back(std::make_unique<SingleNodeDarrService>(
-          repository.get(), &net, node, repo_node, options.retry));
-    }
+    services.push_back(
+        std::make_unique<ShardedDarrService>(&cluster, node, options.retry));
     clients.push_back(
         std::make_unique<DarrClient>(services.back().get(), name,
                                      options.retry));
@@ -79,25 +62,19 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
     }
   }
   if (collector) {
-    // The repository tier reports too: the "darr" node, or every shard.
-    if (cluster) {
-      for (std::size_t s = 0; s < cluster->n_shards(); ++s) {
-        const std::string& name = net.node_name(cluster->node(s));
-        reporters.push_back(std::make_unique<dist::TelemetryReporter>(
-            &net, cluster->node(s), telemetry_node, collector.get(),
-            &obs::MetricScope::for_node(name).registry(), name));
-      }
-    } else {
+    // The repository tier reports too: every shard.
+    for (std::size_t s = 0; s < cluster.n_shards(); ++s) {
+      const std::string& name = net.node_name(cluster.node(s));
       reporters.push_back(std::make_unique<dist::TelemetryReporter>(
-          &net, repo_node, telemetry_node, collector.get(),
-          &obs::MetricScope::for_node("darr").registry(), "darr"));
+          &net, cluster.node(s), telemetry_node, collector.get(),
+          &obs::MetricScope::for_node(name).registry(), name));
     }
   }
 
   CooperativeReport report;
   report.total_candidates = total_candidates;
-  report.n_shards = options.n_shards;
-  report.replication = cluster ? cluster->replication() : 1;
+  report.n_shards = cluster.n_shards();
+  report.replication = cluster.replication();
   report.clients.resize(n_clients);
   report.telemetry = collector;
 
@@ -179,9 +156,8 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
       report.total_local_evaluations > report.total_candidates
           ? report.total_local_evaluations - report.total_candidates
           : 0;
-  report.repository_counters =
-      cluster ? cluster->counters() : repository->counters();
-  if (cluster) report.sync_stats = cluster->sync_stats();
+  report.repository_counters = cluster.counters();
+  report.sync_stats = cluster.sync_stats();
   report.bytes_on_wire = net.total().bytes;
   report.claim_wait_p99_seconds =
       obs::histogram("evaluator.claim.wait_seconds").quantile(0.99);

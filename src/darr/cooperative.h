@@ -1,10 +1,10 @@
 // Cooperative graph search (Fig 2), from a handful of clients up to
 // thousand-client fleets: N clients, each with its own DarrClient bound to
-// the shared repository tier — one DarrRepository node, or a sharded,
-// replicated DarrCluster (DESIGN.md §13) — concurrently evaluate the same
-// graph on the same data set. Claims partition the candidate space; every
-// client ends the run with the complete result set (its own computations
-// plus everyone else's, read from the DARR).
+// the shared repository tier — a DarrCluster (DESIGN.md §13), whose
+// default single shard is the paper's one repository — concurrently
+// evaluate the same graph on the same data set. Claims partition the
+// candidate space; every client ends the run with the complete result set
+// (its own computations plus everyone else's, read from the DARR).
 #pragma once
 
 #include <functional>
@@ -46,8 +46,8 @@ struct CooperativeReport {
   /// recomputed — the paper's headline quantity, summed over clients.
   std::size_t redundancy_avoided = 0;
   double wall_seconds = 0.0;
-  /// Repository tier shape: 0 shards = the single "darr" node topology.
-  std::size_t n_shards = 0;
+  /// Repository tier shape (replication as clamped to n_shards).
+  std::size_t n_shards = 1;
   std::size_t replication = 1;
   /// Every byte the fabric carried (client ops + replica syncs +
   /// telemetry), from SimNet's deterministic accounting.
@@ -56,7 +56,7 @@ struct CooperativeReport {
   /// contention price of waiting on a peer's in-flight computation.
   double claim_wait_p99_seconds = 0.0;
   DarrRepository::Counters repository_counters;  ///< summed over shards
-  DarrCluster::SyncStats sync_stats;  ///< zeros in single-repository mode
+  DarrCluster::SyncStats sync_stats;  ///< zeros when replication == 1
   /// Fleet telemetry collected during the run: every client (and the
   /// repository tier) shipped its MetricScope shard to a dedicated
   /// "telemetry" SimNet node as snapshot deltas; per-node aggregates and
@@ -72,10 +72,10 @@ struct CooperativeReport {
 struct FleetOptions {
   std::size_t n_clients = 1;
   std::size_t evaluator_threads = 1;
-  /// 0 = the original single-repository topology (one "darr" node);
-  /// >= 1 shards the repository across that many nodes by consistent
-  /// hashing with `replication` copies per record.
-  std::size_t n_shards = 0;
+  /// Repository shards (>= 1): the repository spans that many nodes by
+  /// consistent hashing with `replication` copies per record (clamped to
+  /// n_shards). The default single shard is the paper's one repository.
+  std::size_t n_shards = 1;
   std::size_t replication = 2;
   std::size_t ring_points = 32;
   int claim_ttl_ms = 2000;

@@ -1,9 +1,5 @@
 #include "src/darr/record_store.h"
 
-#include "src/darr/repository.h"
-#include "src/dist/retry.h"
-#include "src/obs/trace.h"
-
 namespace coda::darr {
 
 std::vector<std::optional<DarrRecord>> RecordStore::fetch_many(
@@ -12,129 +8,6 @@ std::vector<std::optional<DarrRecord>> RecordStore::fetch_many(
   out.reserve(keys.size());
   for (const auto& key : keys) out.push_back(fetch(key, wire));
   return out;
-}
-
-SingleNodeDarrService::SingleNodeDarrService(DarrRepository* repository,
-                                             dist::SimNet* net,
-                                             dist::NodeId self,
-                                             dist::NodeId repo_node,
-                                             RetryPolicy retry)
-    : repository_(repository),
-      net_(net),
-      self_(self),
-      repo_node_(repo_node),
-      retry_(retry) {
-  require(repository != nullptr && net != nullptr,
-          "SingleNodeDarrService: null dependency");
-  retry_.validate();
-  require(self != repo_node,
-          "SingleNodeDarrService: client and repository must be distinct "
-          "nodes");
-}
-
-std::optional<DarrRecord> SingleNodeDarrService::fetch(const std::string& key,
-                                                       Wire& wire) {
-  const std::size_t request = key_request_size(key);
-  dist::transfer_with_retry(*net_, self_, repo_node_, request, retry_,
-                            "darr.lookup");
-  std::optional<DarrRecord> record;
-  {
-    // Repository work is simulated inline but belongs to the repo node.
-    obs::ScopedSpan repo_span("darr.repo.lookup");
-    repo_span.set_node(net_->node_name(repo_node_));
-    record = repository_->lookup(key);
-  }
-  const std::size_t response =
-      record ? record->wire_size() : kMessageOverhead;  // 16 = "not found"
-  dist::transfer_with_retry(*net_, repo_node_, self_, response, retry_,
-                            "darr.lookup");
-  wire.bytes_sent += request;
-  wire.bytes_received += response;
-  return record;
-}
-
-std::vector<std::optional<DarrRecord>> SingleNodeDarrService::fetch_many(
-    const std::vector<std::string>& keys, Wire& wire) {
-  std::size_t request = 0;
-  for (const auto& key : keys) request += key_request_size(key);
-  dist::transfer_with_retry(*net_, self_, repo_node_, request, retry_,
-                            "darr.lookup_many");
-  std::vector<std::optional<DarrRecord>> out;
-  out.reserve(keys.size());
-  std::size_t response = 0;
-  {
-    obs::ScopedSpan repo_span("darr.repo.lookup_many");
-    repo_span.set_node(net_->node_name(repo_node_));
-    for (const auto& key : keys) {
-      auto record = repository_->lookup(key);
-      response += record ? record->wire_size() : kMessageOverhead;
-      out.push_back(std::move(record));
-    }
-  }
-  dist::transfer_with_retry(*net_, repo_node_, self_, response, retry_,
-                            "darr.lookup_many");
-  wire.bytes_sent += request;
-  wire.bytes_received += response;
-  return out;
-}
-
-bool SingleNodeDarrService::claim(const std::string& key,
-                                  const std::string& client, Wire& wire) {
-  const std::size_t request = key_request_size(key) + client.size();
-  dist::transfer_with_retry(*net_, self_, repo_node_, request, retry_,
-                            "darr.try_claim");
-  bool granted = false;
-  {
-    obs::ScopedSpan repo_span("darr.repo.try_claim");
-    repo_span.set_node(net_->node_name(repo_node_));
-    granted = repository_->try_claim(key, client);
-    repo_span.tag("granted", granted ? "1" : "0");
-  }
-  // The lease exists repository-side from here on: even if the response
-  // below is lost past the retry budget, the caller must track the grant.
-  wire.applied = granted;
-  dist::transfer_with_retry(*net_, repo_node_, self_, kMessageOverhead,
-                            retry_, "darr.try_claim");
-  wire.bytes_sent += request;
-  wire.bytes_received += kMessageOverhead;
-  return granted;
-}
-
-void SingleNodeDarrService::put(DarrRecord record, Wire& wire) {
-  const std::size_t request = record.wire_size();
-  dist::transfer_with_retry(*net_, self_, repo_node_, request, retry_,
-                            "darr.store");
-  {
-    obs::ScopedSpan repo_span("darr.repo.store");
-    repo_span.set_node(net_->node_name(repo_node_));
-    repository_->store(std::move(record), net_->now());
-  }
-  wire.applied = true;  // stored (and claim released) repository-side
-  dist::transfer_with_retry(*net_, repo_node_, self_, kMessageOverhead,
-                            retry_, "darr.store");
-  wire.bytes_sent += request;
-  wire.bytes_received += kMessageOverhead;
-}
-
-void SingleNodeDarrService::release(const std::string& key,
-                                    const std::string& client, Wire& wire) {
-  const std::size_t request = key_request_size(key) + client.size();
-  dist::transfer_with_retry(*net_, self_, repo_node_, request, retry_,
-                            "darr.abandon");
-  {
-    obs::ScopedSpan repo_span("darr.repo.abandon");
-    repo_span.set_node(net_->node_name(repo_node_));
-    repository_->abandon(key, client);
-  }
-  wire.applied = true;  // claim gone repository-side
-  dist::transfer_with_retry(*net_, repo_node_, self_, kMessageOverhead,
-                            retry_, "darr.abandon");
-  wire.bytes_sent += request;
-  wire.bytes_received += kMessageOverhead;
-}
-
-std::size_t SingleNodeDarrService::n_records() const {
-  return repository_->size();
 }
 
 }  // namespace coda::darr

@@ -1,9 +1,9 @@
 // The RecordStore interface: the one repository surface every DARR consumer
-// talks to (DESIGN.md §13). DarrRepository implements it in-process,
-// SingleNodeDarrService implements it over one SimNet repository node, and
+// talks to (DESIGN.md §13). DarrRepository implements it in-process, and
 // ShardedDarrService (src/darr/sharded.h) implements it over a consistent-
-// hash ring of replicated shard nodes — DarrClient, CooperativeFetch and
-// the eval engine never know how many nodes are behind the surface.
+// hash ring of replicated shard nodes — a single repository is the 1-shard
+// ring. DarrClient, CooperativeFetch and the eval engine never know how
+// many nodes are behind the surface.
 //
 // The five operations mirror the ResultCache contract one level down, in
 // repository terms (DarrRecord + explicit client identity):
@@ -23,12 +23,8 @@
 #include <vector>
 
 #include "src/darr/record.h"
-#include "src/dist/sim_net.h"
-#include "src/util/retry.h"
 
 namespace coda::darr {
-
-class DarrRepository;  // implements RecordStore in-process (repository.h)
 
 /// Per-operation traffic/outcome accounting, filled in progressively so it
 /// is meaningful even when the operation throws NetworkError mid-flight.
@@ -80,35 +76,6 @@ class RecordStore {
 
   /// Distinct records stored behind this surface (replicas counted once).
   virtual std::size_t n_records() const = 0;
-};
-
-/// RecordStore over one repository node on a SimNet: the single-node
-/// topology the paper's Fig-2 reproduction started from. Each operation is
-/// one simulated request/response pair retried under `retry`; NetworkError
-/// propagates once the budget is spent (CooperativeFetch catches it and
-/// degrades to local evaluation).
-class SingleNodeDarrService final : public RecordStore {
- public:
-  SingleNodeDarrService(DarrRepository* repository, dist::SimNet* net,
-                        dist::NodeId self, dist::NodeId repo_node,
-                        RetryPolicy retry = {});
-
-  std::optional<DarrRecord> fetch(const std::string& key, Wire& wire) override;
-  std::vector<std::optional<DarrRecord>> fetch_many(
-      const std::vector<std::string>& keys, Wire& wire) override;
-  bool claim(const std::string& key, const std::string& client,
-             Wire& wire) override;
-  void put(DarrRecord record, Wire& wire) override;
-  void release(const std::string& key, const std::string& client,
-               Wire& wire) override;
-  std::size_t n_records() const override;
-
- private:
-  DarrRepository* repository_;
-  dist::SimNet* net_;
-  dist::NodeId self_;
-  dist::NodeId repo_node_;
-  RetryPolicy retry_;
 };
 
 }  // namespace coda::darr

@@ -24,13 +24,6 @@ GlobalCounters& global_counters() {
   return counters;
 }
 
-std::string next_instance_prefix() {
-  // Central id source: obs::reset_all() rewinds it so back-to-back runs
-  // in one process mint identical instance names.
-  return "darr.repo#" + std::to_string(obs::next_instance_id("darr.repo")) +
-         ".";
-}
-
 }  // namespace
 
 DarrRepository::DarrRepository() : DarrRepository(Config()) {}
@@ -39,13 +32,6 @@ DarrRepository::DarrRepository(Config config) : config_(std::move(config)) {
   require(config_.claim_ttl_ms > 0, "DarrRepository: TTL must be positive");
   require(!config_.node_name.empty(),
           "DarrRepository: node_name must be non-empty");
-  const std::string prefix = next_instance_prefix();
-  counters_.lookups = &obs::counter(prefix + "lookups");
-  counters_.hits = &obs::counter(prefix + "hits");
-  counters_.stores = &obs::counter(prefix + "stores");
-  counters_.claims_granted = &obs::counter(prefix + "claims_granted");
-  counters_.claims_denied = &obs::counter(prefix + "claims_denied");
-  counters_.claims_expired = &obs::counter(prefix + "claims_expired");
   auto& g = global_counters();
   auto& scope = obs::MetricScope::for_node(config_.node_name);
   family_.lookup_hit = {&g.lookup_hit, &scope.counter("darr.repo.lookup.hit")};
@@ -62,13 +48,13 @@ DarrRepository::DarrRepository(Config config) : config_(std::move(config)) {
 
 std::optional<DarrRecord> DarrRepository::lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  counters_.lookups->inc();
+  counters_.lookups.inc();
   auto it = records_.find(key);
   if (it == records_.end()) {
     family_.lookup_miss.inc();
     return std::nullopt;
   }
-  counters_.hits->inc();
+  counters_.hits.inc();
   family_.lookup_hit.inc();
   return it->second;
 }
@@ -79,7 +65,7 @@ bool DarrRepository::try_claim(const std::string& key,
   if (records_.count(key) != 0) {
     // Result already exists; claiming is pointless — deny so the caller
     // looks it up instead.
-    counters_.claims_denied->inc();
+    counters_.claims_denied.inc();
     family_.claims_denied.inc();
     return false;
   }
@@ -92,12 +78,12 @@ bool DarrRepository::try_claim(const std::string& key,
       return true;  // idempotent re-claim
     }
     if (it->second.expires_at > now) {
-      counters_.claims_denied->inc();
+      counters_.claims_denied.inc();
       family_.claims_denied.inc();
       return false;  // live foreign claim
     }
     // Owner presumed dead: steal the claim.
-    counters_.claims_expired->inc();
+    counters_.claims_expired.inc();
     family_.claims_expired.inc();
     obs::event(obs::Severity::kWarn, "darr.claim.expired",
                {{"key", key},
@@ -106,7 +92,7 @@ bool DarrRepository::try_claim(const std::string& key,
   }
   claims_[key] = Claim{
       client, now + std::chrono::milliseconds(config_.claim_ttl_ms)};
-  counters_.claims_granted->inc();
+  counters_.claims_granted.inc();
   family_.claims_granted.inc();
   return true;
 }
@@ -117,7 +103,7 @@ void DarrRepository::store(DarrRecord record, double stored_at_sim_time) {
   record.stored_at = stored_at_sim_time;
   claims_.erase(record.key);
   records_[record.key] = std::move(record);
-  counters_.stores->inc();
+  counters_.stores.inc();
   family_.store.inc();
 }
 
@@ -179,12 +165,12 @@ void DarrRepository::release(const std::string& key,
 
 DarrRepository::Counters DarrRepository::counters() const {
   Counters out;
-  out.lookups = counters_.lookups->value();
-  out.hits = counters_.hits->value();
-  out.stores = counters_.stores->value();
-  out.claims_granted = counters_.claims_granted->value();
-  out.claims_denied = counters_.claims_denied->value();
-  out.claims_expired = counters_.claims_expired->value();
+  out.lookups = counters_.lookups.value();
+  out.hits = counters_.hits.value();
+  out.stores = counters_.stores.value();
+  out.claims_granted = counters_.claims_granted.value();
+  out.claims_denied = counters_.claims_denied.value();
+  out.claims_expired = counters_.claims_expired.value();
   return out;
 }
 

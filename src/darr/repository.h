@@ -42,9 +42,8 @@ class DarrRepository : public RecordStore {
     std::string node_name = "darr";
   };
 
-  /// Per-instance counter snapshot. Backed by the obs::MetricsRegistry
-  /// (each repository registers `darr.repo#<n>.*` counters); this struct
-  /// is a point-in-time view, kept for API compatibility.
+  /// Per-instance counter snapshot: a point-in-time view of this
+  /// repository's own (unregistered) counters.
   struct Counters {
     std::size_t lookups = 0;
     std::size_t hits = 0;
@@ -52,6 +51,8 @@ class DarrRepository : public RecordStore {
     std::size_t claims_granted = 0;
     std::size_t claims_denied = 0;   ///< redundant work avoided
     std::size_t claims_expired = 0;  ///< claims stolen after owner timeout
+
+    bool operator==(const Counters&) const = default;
   };
 
   DarrRepository();
@@ -98,14 +99,14 @@ class DarrRepository : public RecordStore {
     std::chrono::steady_clock::time_point expires_at;
   };
 
-  /// This instance's registry-backed counters (`darr.repo#<n>.*`).
+  /// This instance's counters, never registered (the counters() view).
   struct InstanceCounters {
-    obs::Counter* lookups = nullptr;
-    obs::Counter* hits = nullptr;
-    obs::Counter* stores = nullptr;
-    obs::Counter* claims_granted = nullptr;
-    obs::Counter* claims_denied = nullptr;
-    obs::Counter* claims_expired = nullptr;
+    obs::Counter lookups;
+    obs::Counter hits;
+    obs::Counter stores;
+    obs::Counter claims_granted;
+    obs::Counter claims_denied;
+    obs::Counter claims_expired;
   };
 
   /// Process-wide family counters paired with this node's shard (fleet

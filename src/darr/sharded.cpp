@@ -72,7 +72,7 @@ DarrCluster::DarrCluster(dist::SimNet* net, Config config)
   nodes_.reserve(config_.n_shards);
   shards_.reserve(config_.n_shards);
   for (std::size_t i = 0; i < config_.n_shards; ++i) {
-    const std::string name = config_.node_prefix + std::to_string(i);
+    const std::string name = "shard" + std::to_string(i);
     nodes_.push_back(net_->add_node(name));
     DarrRepository::Config repo_config;
     repo_config.claim_ttl_ms = config_.claim_ttl_ms;
@@ -136,6 +136,10 @@ ShardedDarrService::ShardedDarrService(DarrCluster* cluster,
     : cluster_(cluster), self_(self), retry_(retry) {
   require(cluster != nullptr, "ShardedDarrService: null cluster");
   retry_.validate();
+  for (std::size_t s = 0; s < cluster->n_shards(); ++s) {
+    require(self != cluster->node(s),
+            "ShardedDarrService: client and shard must be distinct nodes");
+  }
 }
 
 std::size_t ShardedDarrService::serving_shard(const std::string& key) const {

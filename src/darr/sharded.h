@@ -58,9 +58,11 @@ class HashRing {
   std::vector<std::pair<std::uint64_t, std::size_t>> points_;
 };
 
-/// The server tier of a sharded DARR: shard nodes on one SimNet, each
-/// hosting its own DarrRepository (node-named, so per-shard fleet
-/// telemetry comes for free), plus the ring and replica-sync accounting.
+/// The server tier of a sharded DARR: shard nodes `shard0..shardN-1` on
+/// one SimNet, each hosting its own DarrRepository (node-named, so
+/// per-shard fleet telemetry comes for free), plus the ring and
+/// replica-sync accounting. A single repository is {n_shards=1,
+/// replication=1}.
 class DarrCluster {
  public:
   struct Config {
@@ -70,7 +72,6 @@ class DarrCluster {
     std::size_t replication = 2;
     std::size_t ring_points = 32;  ///< virtual nodes per shard
     int claim_ttl_ms = 2000;
-    std::string node_prefix = "shard";
     /// Retry budget for replica sync transfers (server-to-server).
     RetryPolicy sync_retry = {};
   };
@@ -125,6 +126,7 @@ class DarrCluster {
 /// replicates the state change to the remaining owners.
 class ShardedDarrService final : public RecordStore {
  public:
+  /// `self` is the client's node; it must not be one of the shard nodes.
   ShardedDarrService(DarrCluster* cluster, dist::NodeId self,
                      RetryPolicy retry = {});
 

@@ -7,17 +7,6 @@
 
 namespace coda::dist {
 
-namespace {
-
-std::string next_instance_prefix() {
-  // Central id source: obs::reset_all() rewinds it so back-to-back runs
-  // in one process mint identical instance names.
-  return "remote.svc#" +
-         std::to_string(obs::next_instance_id("remote.svc")) + ".";
-}
-
-}  // namespace
-
 RemoteModelService::RemoteModelService(SimNet* net, NodeId self,
                                        std::unique_ptr<Estimator> model,
                                        RetryPolicy retry)
@@ -25,11 +14,6 @@ RemoteModelService::RemoteModelService(SimNet* net, NodeId self,
   require(net != nullptr && model_ != nullptr,
           "RemoteModelService: null dependency");
   retry_.validate();
-  const std::string prefix = next_instance_prefix();
-  stats_.fit_calls = &obs::counter(prefix + "fit_calls");
-  stats_.predict_calls = &obs::counter(prefix + "predict_calls");
-  stats_.bytes_in = &obs::counter(prefix + "bytes_in");
-  stats_.bytes_out = &obs::counter(prefix + "bytes_out");
   // Fleet telemetry: remote.* families dual-write this node's shard.
   auto& scope = obs::MetricScope::for_node(net_->node_name(self_));
   const auto family = [&scope](const char* name) {
@@ -53,9 +37,9 @@ void RemoteModelService::fit(NodeId caller, const Matrix& X,
     model_->fit(X, y);
   }
   transfer_with_retry(*net_, self_, caller, 16, retry_, "remote.fit");  // ack
-  stats_.fit_calls->inc();
-  stats_.bytes_in->inc(request);
-  stats_.bytes_out->inc(16);
+  stats_.fit_calls.inc();
+  stats_.bytes_in.inc(request);
+  stats_.bytes_out.inc(16);
   family_.fit_calls.inc();
   family_.bytes_in.inc(request);
   family_.bytes_out.inc(16);
@@ -76,9 +60,9 @@ std::vector<double> RemoteModelService::predict(NodeId caller,
   const std::size_t response = predictions.size() * sizeof(double) + 16;
   transfer_with_retry(*net_, self_, caller, response, retry_,
                       "remote.predict");
-  stats_.predict_calls->inc();
-  stats_.bytes_in->inc(request);
-  stats_.bytes_out->inc(response);
+  stats_.predict_calls.inc();
+  stats_.bytes_in.inc(request);
+  stats_.bytes_out.inc(response);
   family_.predict_calls.inc();
   family_.bytes_in.inc(request);
   family_.bytes_out.inc(response);
@@ -87,10 +71,10 @@ std::vector<double> RemoteModelService::predict(NodeId caller,
 
 RemoteModelService::CallStats RemoteModelService::stats() const {
   CallStats out;
-  out.fit_calls = stats_.fit_calls->value();
-  out.predict_calls = stats_.predict_calls->value();
-  out.bytes_in = stats_.bytes_in->value();
-  out.bytes_out = stats_.bytes_out->value();
+  out.fit_calls = stats_.fit_calls.value();
+  out.predict_calls = stats_.predict_calls.value();
+  out.bytes_in = stats_.bytes_in.value();
+  out.bytes_out = stats_.bytes_out.value();
   return out;
 }
 

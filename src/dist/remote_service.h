@@ -17,14 +17,13 @@ namespace coda::dist {
 /// A fit/predict service wrapping any Estimator behind a network boundary.
 /// Callers pay request+response bytes per invocation, like an HTTP ML API.
 /// Thread-safe: concurrent evaluator threads may call fit/predict through
-/// their RemoteEstimators — call accounting lives in atomic registry
-/// counters (`remote.svc#<n>.*`) and the hosted model is serialized behind
-/// a mutex. Transfers retry under the service's RetryPolicy and throw
+/// their RemoteEstimators — call accounting lives in atomic per-instance
+/// counters and the hosted model is serialized behind a mutex. Transfers retry under the service's RetryPolicy and throw
 /// NetworkError once the budget is spent (the evaluation engine then marks
 /// that candidate failed instead of hanging the search).
 class RemoteModelService {
  public:
-  /// Point-in-time snapshot of the service's registry-backed counters.
+  /// Point-in-time snapshot of the service's own (unregistered) counters.
   struct CallStats {
     std::size_t fit_calls = 0;
     std::size_t predict_calls = 0;
@@ -54,13 +53,13 @@ class RemoteModelService {
   }
 
  private:
-  /// Registry-backed instance counters; atomic, so concurrent callers need
-  /// no stats lock (the old plain-struct counters raced under tsan).
+  /// This instance's counters, never registered (the stats() view);
+  /// atomic, so concurrent callers need no stats lock.
   struct InstanceCounters {
-    obs::Counter* fit_calls = nullptr;
-    obs::Counter* predict_calls = nullptr;
-    obs::Counter* bytes_in = nullptr;
-    obs::Counter* bytes_out = nullptr;
+    obs::Counter fit_calls;
+    obs::Counter predict_calls;
+    obs::Counter bytes_in;
+    obs::Counter bytes_out;
   };
 
   SimNet* net_;

@@ -10,13 +10,6 @@ namespace coda::dist {
 
 namespace {
 
-std::string next_instance_prefix() {
-  // Central id source: obs::reset_all() rewinds it so back-to-back runs
-  // in one process mint identical instance names.
-  return "simnet.net#" + std::to_string(obs::next_instance_id("simnet.net")) +
-         ".";
-}
-
 // SplitMix64 finalizer — stateless and platform-stable, so a link's fault
 // stream is a pure function of (seed, salt, from, to, message index).
 std::uint64_t mix64(std::uint64_t x) {
@@ -57,10 +50,6 @@ SimNet::SimNet(Config config) : config_(config) {
   require(config.latency_seconds >= 0.0 &&
               config.bandwidth_bytes_per_sec > 0.0,
           "SimNet: bad configuration");
-  const std::string prefix = next_instance_prefix();
-  total_messages_ = &obs::counter(prefix + "messages");
-  total_bytes_ = &obs::counter(prefix + "bytes");
-  total_seconds_ = &obs::gauge(prefix + "simulated_seconds");
   // Pre-register the fault/retry families so exported snapshots (and the
   // golden metrics-key test) list them even for fault-free runs.
   obs::counter("net.fault.dropped");
@@ -149,8 +138,8 @@ TransferResult SimNet::transfer(NodeId from, NodeId to, std::size_t bytes,
           auto& stats = links_[{from, to}];
           ++stats.messages;
           stats.simulated_seconds += latency;
-          total_messages_->inc();
-          total_seconds_->add(latency);
+          total_messages_.inc();
+          total_seconds_.add(latency);
           messages_sent.inc();
           fault_dropped.inc();
           ++fault_stats_.dropped;
@@ -176,9 +165,9 @@ TransferResult SimNet::transfer(NodeId from, NodeId to, std::size_t bytes,
       ++stats.messages;
       stats.bytes += bytes;
       stats.simulated_seconds += seconds;
-      total_messages_->inc();
-      total_bytes_->inc(bytes);
-      total_seconds_->add(seconds);
+      total_messages_.inc();
+      total_bytes_.inc(bytes);
+      total_seconds_.add(seconds);
       messages_sent.inc();
       bytes_sent.inc(bytes);
       transfer_seconds.observe(seconds);
@@ -297,9 +286,9 @@ LinkStats SimNet::link(NodeId from, NodeId to) const {
 
 LinkStats SimNet::total() const {
   LinkStats total;
-  total.messages = total_messages_->value();
-  total.bytes = total_bytes_->value();
-  total.simulated_seconds = total_seconds_->value();
+  total.messages = total_messages_.value();
+  total.bytes = total_bytes_.value();
+  total.simulated_seconds = total_seconds_.value();
   return total;
 }
 
@@ -312,9 +301,9 @@ void SimNet::reset_stats() {
   std::lock_guard<std::mutex> lock(mutex_);
   links_.clear();
   fault_stats_ = FaultStats{};
-  total_messages_->reset();
-  total_bytes_->reset();
-  total_seconds_->reset();
+  total_messages_.reset();
+  total_bytes_.reset();
+  total_seconds_.reset();
 }
 
 bool SimNet::partitioned_locked(NodeId from, NodeId to) const {

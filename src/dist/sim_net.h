@@ -40,8 +40,8 @@ struct MessageHeader {
 };
 
 /// Traffic counters for one directed node pair (and, via total(), for a
-/// whole fabric — the aggregate is backed by obs::MetricsRegistry counters
-/// named `simnet.net#<n>.*`; this struct is a point-in-time view).
+/// whole fabric — a point-in-time view of the fabric's own unregistered
+/// counters).
 struct LinkStats {
   std::size_t messages = 0;
   std::size_t bytes = 0;
@@ -182,11 +182,11 @@ class SimNet {
   std::vector<Window> partitions_;
   std::vector<Window> crashes_;
   FaultStats fault_stats_;
-  // Registry-backed fabric totals (`simnet.net#<n>.*`); per-link detail
-  // stays in links_.
-  obs::Counter* total_messages_ = nullptr;
-  obs::Counter* total_bytes_ = nullptr;
-  obs::Gauge* total_seconds_ = nullptr;
+  // Fabric totals, never registered (the total() view; the process-wide
+  // `simnet.*` families sum every fabric); per-link detail stays in links_.
+  obs::Counter total_messages_;
+  obs::Counter total_bytes_;
+  obs::Gauge total_seconds_;
 };
 
 }  // namespace coda::dist

@@ -248,7 +248,6 @@ void trace_dump_if_env() {
 void reset_all() {
   MetricsRegistry::instance().reset();
   MetricScope::reset_values();
-  reset_instance_ids();
   Tracer::instance().clear();
   EventLog::instance().clear();
   CandidateCosts::instance().reset();

@@ -292,30 +292,4 @@ void observe_scoped(const std::string& name, double value,
   }
 }
 
-namespace {
-
-struct InstanceIdTable {
-  std::mutex mutex;
-  std::map<std::string, std::uint64_t> next;
-};
-
-InstanceIdTable& instance_ids() {
-  static InstanceIdTable table;
-  return table;
-}
-
-}  // namespace
-
-std::uint64_t next_instance_id(const std::string& family) {
-  auto& table = instance_ids();
-  std::lock_guard<std::mutex> lock(table.mutex);
-  return table.next[family]++;
-}
-
-void reset_instance_ids() {
-  auto& table = instance_ids();
-  std::lock_guard<std::mutex> lock(table.mutex);
-  table.next.clear();
-}
-
 }  // namespace coda::obs

@@ -5,9 +5,10 @@
 // is only ever taken at first registration and at export time.
 //
 // Naming convention: dot-separated families, label as the last segment —
-// e.g. `darr.lookup.hit` / `darr.lookup.miss`. Per-instance views (the thin
-// accessors kept on DarrRepository / SimNet / DarrClient) use an instance
-// segment: `darr.repo#3.stores`.
+// e.g. `darr.lookup.hit` / `darr.lookup.miss`. Registered names are
+// per-fact, never per-instance: the per-instance views (DarrRepository::
+// counters(), DarrClient::stats(), SimNet::total(), RemoteModelService::
+// stats()) read unregistered Counter/Gauge members of their object.
 //
 // Fleet telemetry (DESIGN.md §12): in addition to the process-wide
 // registry, every simulated node can own a MetricScope — a registry shard
@@ -205,8 +206,8 @@ class MetricScope {
 };
 
 /// Counter handle pairing a node shard's counter with the process-wide
-/// family (or per-instance) counter: inc() writes both, value() reads the
-/// primary (process-wide) side. Default-constructed handles are inert.
+/// family counter: inc() writes both, value() reads the primary
+/// (process-wide) side. Default-constructed handles are inert.
 class ScopedCounter {
  public:
   ScopedCounter() = default;
@@ -252,13 +253,6 @@ void count_scoped(const std::string& name, std::uint64_t n = 1);
 /// histogram, exactly like obs::histogram().
 void observe_scoped(const std::string& name, double value,
                     std::vector<double> bounds = {});
-
-/// Process-wide source of per-instance metric ids: "darr.repo#<n>." style
-/// prefixes mint one id per `family`. reset_instance_ids() (called by
-/// obs::reset_all()) rewinds every family to 0 so seed-deterministic
-/// back-to-back runs register identical instance names.
-std::uint64_t next_instance_id(const std::string& family);
-void reset_instance_ids();
 
 /// Shared quantile estimator over an exported bucket vector (`buckets` has
 /// one +inf overflow slot past `bounds`); the logic behind

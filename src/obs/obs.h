@@ -54,12 +54,13 @@ void dump_if_env();
 void trace_dump_if_env();
 
 /// Zeroes every metric (the process-wide registry AND every per-node
-/// MetricScope shard), rewinds the per-family instance-id sources, clears
-/// the tracer (spans, anchors, and span/trace id sources), the flight
-/// recorder, the candidate cost table, the region profiler
-/// (prof::reset()), and the global SLO registry — full test isolation
-/// between seed-deterministic runs: two identical runs bracketed by
-/// reset_all() produce identical metrics output.
+/// MetricScope shard), clears the tracer (spans, anchors, and span/trace
+/// id sources), the flight recorder, the candidate cost table, the region
+/// profiler (prof::reset()), and the global SLO registry — full test
+/// isolation between seed-deterministic runs: two identical runs
+/// bracketed by reset_all() produce identical metrics output. Per-instance
+/// views (DarrClient::stats() etc.) belong to their objects and are not
+/// touched.
 void reset_all();
 
 }  // namespace coda::obs

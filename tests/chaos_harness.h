@@ -24,7 +24,6 @@
 
 #include "src/core/evaluator.h"
 #include "src/darr/client.h"
-#include "src/darr/repository.h"
 #include "src/darr/sharded.h"
 #include "src/dist/sim_net.h"
 #include "src/obs/event_log.h"
@@ -43,8 +42,8 @@ struct ChaosSchedule {
   std::uint64_t seed = 1;
   double drop_probability = 0.0;
   double latency_spike_probability = 0.0;
-  /// Directed partition between one client and the repository node
-  /// (both directions), active while the clock is in the window.
+  /// Directed partition between one client and every shard node (both
+  /// directions), active while the clock is in the window.
   int partitioned_client = -1;  ///< client index; -1 = no partition
   double partition_start = 0.0;
   double partition_end = 0.0;
@@ -52,10 +51,10 @@ struct ChaosSchedule {
   int crashed_client = -1;  ///< client index; -1 = no crash
   double crash_start = 0.0;
   double crash_end = 0.0;
-  /// Repository tier shape: 0 = the single "darr" node; >= 1 shards the
-  /// repository by consistent hashing with `replication` copies per record
-  /// (DESIGN.md §13).
-  std::size_t n_shards = 0;
+  /// Repository tier shape (DESIGN.md §13): `n_shards` (>= 1) nodes by
+  /// consistent hashing with `replication` copies per record. The default
+  /// single shard is the paper's one repository.
+  std::size_t n_shards = 1;
   std::size_t replication = 1;
   /// Crash window for one shard node: claims/stores whose serving owner
   /// falls inside the window fail over to the next replica on the ring.
@@ -77,9 +76,7 @@ struct ChaosSchedule {
       out << ", crash(client" << crashed_client << ", [" << crash_start
           << ", " << crash_end << "))";
     }
-    if (n_shards > 0) {
-      out << ", shards(" << n_shards << ", rf=" << replication << ")";
-    }
+    out << ", shards(" << n_shards << ", rf=" << replication << ")";
     if (crashed_shard >= 0) {
       out << ", crash(shard" << crashed_shard << ", [" << shard_crash_start
           << ", " << shard_crash_end << "))";
@@ -107,56 +104,44 @@ inline RetryPolicy chaos_retry_policy(std::uint64_t seed) {
   return policy;
 }
 
-/// The shared fabric of one chaos run: a repository tier — the single
-/// "darr" node, or a sharded, replicated DarrCluster — plus `n_clients`
-/// client nodes, with `schedule` applied to the SimNet.
+/// The shared fabric of one chaos run: a sharded, replicated DarrCluster
+/// (one shard by default) plus `n_clients` client nodes, with `schedule`
+/// applied to the SimNet.
 struct ChaosFabric {
-  darr::DarrRepository repository;  ///< single-node tier (n_shards == 0)
   dist::SimNet net;
-  dist::NodeId repo_node = 0;
-  std::unique_ptr<darr::DarrCluster> cluster;  ///< sharded tier, else null
+  darr::DarrCluster cluster;
   std::vector<dist::NodeId> client_nodes;
   std::vector<std::unique_ptr<darr::RecordStore>> services;
   std::vector<std::unique_ptr<darr::DarrClient>> clients;
 
-  ChaosFabric(std::size_t n_clients, const ChaosSchedule& schedule) {
+  ChaosFabric(std::size_t n_clients, const ChaosSchedule& schedule)
+      : cluster(&net,
+                {.n_shards = schedule.n_shards,
+                 .replication = schedule.replication,
+                 .sync_retry = chaos_retry_policy(schedule.seed ^ 0x5eed)}) {
     dist::SimNet::FaultConfig faults;
     faults.seed = schedule.seed;
     faults.drop_probability = schedule.drop_probability;
     faults.latency_spike_probability = schedule.latency_spike_probability;
-    if (schedule.n_shards == 0) {
-      repo_node = net.add_node("darr");
-    } else {
-      darr::DarrCluster::Config config;
-      config.n_shards = schedule.n_shards;
-      config.replication = schedule.replication;
-      config.sync_retry = chaos_retry_policy(schedule.seed ^ 0x5eed);
-      cluster = std::make_unique<darr::DarrCluster>(&net, config);
-    }
     net.set_faults(faults);
     for (std::size_t i = 0; i < n_clients; ++i) {
       const std::string name = "client" + std::to_string(i);
       const dist::NodeId node = net.add_node(name);
       client_nodes.push_back(node);
       const RetryPolicy retry = chaos_retry_policy(schedule.seed ^ (i + 1));
-      if (cluster) {
-        services.push_back(std::make_unique<darr::ShardedDarrService>(
-            cluster.get(), node, retry));
-        clients.push_back(std::make_unique<darr::DarrClient>(
-            services.back().get(), name, retry));
-      } else {
-        clients.push_back(std::make_unique<darr::DarrClient>(
-            &repository, &net, node, repo_node, name, retry));
-      }
+      services.push_back(
+          std::make_unique<darr::ShardedDarrService>(&cluster, node, retry));
+      clients.push_back(std::make_unique<darr::DarrClient>(
+          services.back().get(), name, retry));
     }
     if (schedule.partitioned_client >= 0) {
       const dist::NodeId node =
           client_nodes.at(static_cast<std::size_t>(
               schedule.partitioned_client));
-      for (const dist::NodeId repo : repository_nodes()) {
-        net.partition(node, repo, schedule.partition_start,
+      for (std::size_t s = 0; s < cluster.n_shards(); ++s) {
+        net.partition(node, cluster.node(s), schedule.partition_start,
                       schedule.partition_end);
-        net.partition(repo, node, schedule.partition_start,
+        net.partition(cluster.node(s), node, schedule.partition_start,
                       schedule.partition_end);
       }
     }
@@ -166,27 +151,10 @@ struct ChaosFabric {
                      schedule.crash_start, schedule.crash_end);
     }
     if (schedule.crashed_shard >= 0) {
-      require(cluster != nullptr,
-              "ChaosSchedule: crashed_shard needs n_shards > 0");
       net.crash_node(
-          cluster->node(static_cast<std::size_t>(schedule.crashed_shard)),
+          cluster.node(static_cast<std::size_t>(schedule.crashed_shard)),
           schedule.shard_crash_start, schedule.shard_crash_end);
     }
-  }
-
-  /// Every node of the repository tier (one, or each shard).
-  std::vector<dist::NodeId> repository_nodes() const {
-    if (!cluster) return {repo_node};
-    std::vector<dist::NodeId> nodes;
-    for (std::size_t s = 0; s < cluster->n_shards(); ++s) {
-      nodes.push_back(cluster->node(s));
-    }
-    return nodes;
-  }
-
-  /// Repository counters, summed across shards in sharded mode.
-  darr::DarrRepository::Counters counters() const {
-    return cluster ? cluster->counters() : repository.counters();
   }
 };
 
@@ -206,7 +174,7 @@ struct ChaosRun {
   /// The per-client plan total (identical on every client).
   std::size_t fold_evaluations_planned = 0;
   darr::DarrRepository::Counters repository_counters;
-  darr::DarrCluster::SyncStats sync_stats;  ///< zeros in single-node mode
+  darr::DarrCluster::SyncStats sync_stats;  ///< zeros when replication == 1
   dist::SimNet::FaultStats fault_stats;
 };
 
@@ -242,8 +210,8 @@ ChaosRun run_clients(ChaosFabric& fabric, std::size_t n_candidates,
       run.total_local_evaluations > run.total_candidates
           ? run.total_local_evaluations - run.total_candidates
           : 0;
-  run.repository_counters = fabric.counters();
-  if (fabric.cluster) run.sync_stats = fabric.cluster->sync_stats();
+  run.repository_counters = fabric.cluster.counters();
+  run.sync_stats = fabric.cluster.sync_stats();
   run.fault_stats = fabric.net.fault_stats();
   return run;
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/core/kernels.h"
+#include "src/darr/cooperative.h"
 #include "src/data/synthetic.h"
 #include "src/dist/client_cache.h"
 #include "src/dist/home_store.h"
@@ -237,7 +238,7 @@ TEST(Chaos, Fig11ForecastSearchSurvivesSeededSchedules) {
 
 // Invariant (b) shaped for a sharded tier: claims still partition the
 // candidate space, but stores land once per *owner* (replication), so the
-// single-node stores == candidates identity does not apply.
+// single-shard stores == candidates identity does not apply.
 void expect_zero_redundancy_sharded(const ChaosRun& run) {
   EXPECT_EQ(run.total_local_evaluations, run.total_candidates);
   EXPECT_EQ(run.redundant_evaluations, 0u);
@@ -257,18 +258,17 @@ TEST(Chaos, ShardCrashMidClaimMigratesLeaseToReplica) {
   SCOPED_TRACE(schedule.describe());
   const FlightRecorderOnFailure flight(schedule);
   chaos::ChaosFabric fabric(2, schedule);
-  ASSERT_NE(fabric.cluster, nullptr);
   auto& holder = *fabric.clients[0];
   auto& peer = *fabric.clients[1];
 
   // The claim lands on the serving owner and replicates to the other.
   ASSERT_TRUE(holder.claim("k"));
-  ASSERT_EQ(fabric.cluster->sync_stats().failed_syncs, 0u);
+  ASSERT_EQ(fabric.cluster.sync_stats().failed_syncs, 0u);
 
   // Crash the serving owner mid-claim: ownership migrates — the replica
   // already holds the lease and defends it in place.
-  const auto owners = fabric.cluster->owners("k");
-  fabric.net.crash_node(fabric.cluster->node(owners[0]), fabric.net.now(),
+  const auto owners = fabric.cluster.owners("k");
+  fabric.net.crash_node(fabric.cluster.node(owners[0]), fabric.net.now(),
                         1e9);
   EXPECT_FALSE(peer.claim("k"));
 
@@ -283,14 +283,14 @@ TEST(Chaos, ShardCrashMidClaimMigratesLeaseToReplica) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->mean_score, 0.5);
   // The record sync toward the crashed owner was counted as failed.
-  EXPECT_GE(fabric.cluster->sync_stats().failed_syncs, 1u);
+  EXPECT_GE(fabric.cluster.sync_stats().failed_syncs, 1u);
 }
 
 TEST(Chaos, ShardedFig11SearchSurvivesAShardCrash) {
   const TimeSeries series = forecast_series();
   const ChaosRun baseline = run_forecast(series, 3, ChaosSchedule{});
 
-  // Fault-free sharded run first: same best pipeline as the single-node
+  // Fault-free sharded run first: same best pipeline as the single-shard
   // topology, zero redundancy, every record on both owners.
   {
     ChaosSchedule schedule;
@@ -397,9 +397,10 @@ TEST(Chaos, SameScheduleReplaysIdenticalFaultDecisions) {
   auto outcomes = [&](chaos::ChaosFabric& fabric) {
     std::vector<bool> out;
     for (int i = 0; i < 100; ++i) {
-      out.push_back(
-          fabric.net.transfer(fabric.client_nodes[0], fabric.repo_node, 64)
-              .ok());
+      out.push_back(fabric.net
+                        .transfer(fabric.client_nodes[0],
+                                  fabric.cluster.node(0), 64)
+                        .ok());
     }
     return out;
   };
@@ -480,7 +481,7 @@ TEST(Chaos, CrashedClientsClaimsAreReclaimableByPeers) {
   crashed.abandon_all();
   EXPECT_TRUE(crashed.held_claims().empty());
   EXPECT_TRUE(peer.claim("fig3/candidate"));
-  EXPECT_EQ(fabric.repository.counters().claims_expired, 0u);
+  EXPECT_EQ(fabric.cluster.counters().claims_expired, 0u);
 }
 
 TEST(Chaos, AbandonAllSurvivesAnUnreachableRepository) {
@@ -687,8 +688,43 @@ void exercise_fault_metrics() {
   }
 }
 
+// Every registered name (counters, gauges, histograms) of `registry`.
+std::vector<std::string> registered_names(
+    const obs::MetricsRegistry& registry) {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : registry.counter_values()) {
+    names.push_back(name);
+  }
+  for (const auto& [name, value] : registry.gauge_values()) {
+    names.push_back(name);
+  }
+  for (const auto& [name, histogram] : registry.histogram_views()) {
+    names.push_back(name);
+  }
+  return names;
+}
+
 TEST(Chaos, FaultMetricNamesMatchGoldenFile) {
   exercise_fault_metrics();
+  // A telemetry-on fleet run (clients, shards, collector node) on top of
+  // the chaos fabrics above.
+  darr::FleetOptions fleet;
+  fleet.n_clients = 3;
+  (void)darr::run_cooperative_search(tabular_graph(), tabular_dataset(),
+                                     KFold(3), Metric::kRmse, fleet);
+
+  // One metric name per fact: no per-instance (`#`) names anywhere, in
+  // the process-wide registry or in any node's shard.
+  for (const auto& name :
+       registered_names(obs::MetricsRegistry::instance())) {
+    EXPECT_EQ(name.find('#'), std::string::npos) << "global: " << name;
+  }
+  for (const auto& node : obs::MetricScope::nodes()) {
+    for (const auto& name :
+         registered_names(obs::MetricScope::for_node(node).registry())) {
+      EXPECT_EQ(name.find('#'), std::string::npos) << node << ": " << name;
+    }
+  }
 
   const std::string path =
       std::string(CODA_GOLDEN_DIR) + "/metrics_keys.txt";
@@ -715,16 +751,14 @@ TEST(Chaos, FaultMetricNamesMatchGoldenFile) {
   }
   // ...and the fixed fault/retry/executor families must not grow or get
   // renamed without the golden file (and README) being updated.
-  // Instance-scoped (`#`) and per-op (`eval.darr_degraded.<op>`) names
-  // are excluded: their membership depends on how many instances/ops a
-  // run touches. The per-region `prof.<region>.*` counters are likewise
-  // NOT a strict family — region names are defined at PROF_SCOPE call
-  // sites and grow with instrumentation; only the fixed `prof.scopes`
-  // counter is contracted.
+  // Per-op (`eval.darr_degraded.<op>`) names are excluded: their
+  // membership depends on which ops a run touches. The per-region
+  // `prof.<region>.*` counters are likewise NOT a strict family — region
+  // names are defined at PROF_SCOPE call sites and grow with
+  // instrumentation; only the fixed `prof.scopes` counter is contracted.
   const std::vector<std::string> families = {"net.fault.", "retry.",
                                              "pool.", "timerwheel."};
   for (const auto& name : registered) {
-    if (name.find('#') != std::string::npos) continue;
     for (const auto& family : families) {
       if (name.rfind(family, 0) == 0) {
         EXPECT_TRUE(expected.count(name))

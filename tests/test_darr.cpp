@@ -1,6 +1,7 @@
 // Tests for the Data Analytics Results Repository (Fig 2): record
 // serialization, claim lifecycle incl. TTL expiry (failure injection for a
-// crashed claimant), prefix listing, and the network-accounted client.
+// crashed claimant), prefix listing, and the network-accounted client over
+// a single-shard cluster.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -8,6 +9,7 @@
 
 #include "src/darr/client.h"
 #include "src/darr/repository.h"
+#include "src/darr/sharded.h"
 
 namespace coda::darr {
 namespace {
@@ -123,12 +125,16 @@ TEST(DarrRepository, EmptyKeyRejected) {
   EXPECT_THROW(repo.store(r), InvalidArgument);
 }
 
+// A client of the paper's one shared repository: a single-shard,
+// unreplicated cluster.
 struct ClientFixture : ::testing::Test {
-  DarrRepository repo;
   dist::SimNet net;
-  dist::NodeId repo_node = net.add_node("darr");
+  DarrCluster cluster{&net, {.n_shards = 1, .replication = 1}};
+  DarrRepository& repo = cluster.shard(0);
+  dist::NodeId repo_node = cluster.node(0);
   dist::NodeId client_node = net.add_node("c0");
-  DarrClient client{&repo, &net, client_node, repo_node, "c0"};
+  ShardedDarrService service{&cluster, client_node};
+  DarrClient client{&service, "c0"};
 };
 
 TEST_F(ClientFixture, ImplementsResultCacheContract) {
@@ -173,10 +179,14 @@ TEST_F(ClientFixture, RecordCarriesProducerName) {
 }
 
 TEST(DarrClient, ConstructionValidated) {
-  DarrRepository repo;
   dist::SimNet net;
-  const auto n = net.add_node("x");
-  EXPECT_THROW(DarrClient(&repo, &net, n, n, "c"), InvalidArgument);
+  DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
+  // A client cannot sit on the repository's own node.
+  EXPECT_THROW(ShardedDarrService(&cluster, cluster.node(0)),
+               InvalidArgument);
+  EXPECT_THROW(DarrClient(nullptr, "c"), InvalidArgument);
+  ShardedDarrService service(&cluster, net.add_node("c"));
+  EXPECT_THROW(DarrClient(&service, ""), InvalidArgument);
 }
 
 }  // namespace

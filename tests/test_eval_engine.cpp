@@ -12,7 +12,7 @@
 #include "src/core/evaluator.h"
 #include "src/core/plan_compiler.h"
 #include "src/darr/client.h"
-#include "src/darr/repository.h"
+#include "src/darr/sharded.h"
 #include "src/data/synthetic.h"
 #include "src/ml/linear.h"
 #include "src/ml/pca.h"
@@ -496,11 +496,12 @@ TEST(ResultCache, FetchManyDefaultLoopsOverFetch) {
 }
 
 TEST(DarrClient, FetchManyUsesOneRoundTrip) {
-  darr::DarrRepository repo;
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
+  darr::DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
+  const auto repo_node = cluster.node(0);
   const auto client_node = net.add_node("c0");
-  darr::DarrClient client(&repo, &net, client_node, repo_node, "c0");
+  darr::ShardedDarrService service(&cluster, client_node);
+  darr::DarrClient client(&service, "c0");
   CachedResult r;
   r.mean_score = 2.0;
   r.fold_scores = {2.0};

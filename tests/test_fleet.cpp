@@ -3,10 +3,11 @@
 // RecordStore surface. These runs assert the headline scaling invariants:
 // zero redundant evaluations at thousand-client scale, redundancy-avoided
 // growing linearly with fleet size, replicated stores landing on every
-// owner, and the sharded tier electing the same best pipeline as the
-// single-repository topology.
+// owner, and a four-shard tier electing the same best pipeline as the
+// single-shard repository.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -139,6 +140,55 @@ TEST_F(FleetTest, SerialFleetIsByteDeterministic) {
   EXPECT_EQ(first.redundancy_avoided, second.redundancy_avoided);
   EXPECT_EQ(first.sync_stats.bytes_shipped, second.sync_stats.bytes_shipped);
   EXPECT_EQ(first.redundancy_avoided, 64u * 9u - 9u);
+}
+
+// Registered names of the process-wide registry: {counters, gauges,
+// histograms}.
+std::array<std::size_t, 3> registered_name_counts() {
+  const auto& registry = obs::MetricsRegistry::instance();
+  return {registry.counter_values().size(), registry.gauge_values().size(),
+          registry.histogram_views().size()};
+}
+
+TEST_F(FleetTest, RepeatedFleetRunsRegisterNoNewNames) {
+  // Back-to-back runs in one process with no obs::reset_all() between
+  // them (a long-lived process): the second run must not grow the
+  // registry, and the per-instance views must read this run's repository
+  // and clients only.
+  const Dataset data = tabular_dataset();
+  const TEGraph graph = tabular_graph();
+
+  darr::FleetOptions options;
+  options.n_clients = 16;
+  options.n_shards = 4;
+  options.replication = 2;
+  options.max_parallel_clients = 1;  // serial: identical counts per run
+  options.telemetry = false;
+
+  const auto first = darr::run_cooperative_search(graph, data, KFold(3),
+                                                  Metric::kRmse, options);
+  const auto names_after_first = registered_name_counts();
+  const auto second = darr::run_cooperative_search(graph, data, KFold(3),
+                                                   Metric::kRmse, options);
+
+  EXPECT_EQ(registered_name_counts(), names_after_first);
+  EXPECT_EQ(second.repository_counters, first.repository_counters);
+  ASSERT_EQ(second.clients.size(), first.clients.size());
+  for (std::size_t i = 0; i < first.clients.size(); ++i) {
+    EXPECT_EQ(second.clients[i].darr_stats, first.clients[i].darr_stats)
+        << first.clients[i].name;
+  }
+  EXPECT_EQ(second.bytes_on_wire, first.bytes_on_wire);
+}
+
+TEST_F(FleetTest, ZeroShardsIsRejected) {
+  // The repository is always a cluster; a single repository is one shard.
+  darr::FleetOptions options;
+  options.n_shards = 0;
+  EXPECT_THROW(darr::run_cooperative_search(tabular_graph(),
+                                            tabular_dataset(), KFold(3),
+                                            Metric::kRmse, options),
+               InvalidArgument);
 }
 
 TEST_F(FleetTest, FleetTelemetryAggregatesAcrossShardsAndClients) {

@@ -8,6 +8,7 @@
 
 #include "src/core/evaluator.h"
 #include "src/darr/client.h"
+#include "src/darr/sharded.h"
 #include "src/data/fingerprint.h"
 #include "src/data/synthetic.h"
 #include "src/ml/imputers.h"
@@ -102,13 +103,13 @@ TEST(Integration, DarrPrefixDiscoveryAcrossClients) {
   cfg.n_informative = 4;
   const auto data = make_regression(cfg);
 
-  darr::DarrRepository repo;
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
-  const auto alice_node = net.add_node("alice");
-  const auto bob_node = net.add_node("bob");
-  darr::DarrClient alice(&repo, &net, alice_node, repo_node, "alice");
-  darr::DarrClient bob(&repo, &net, bob_node, repo_node, "bob");
+  darr::DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
+  darr::DarrRepository& repo = cluster.shard(0);
+  darr::ShardedDarrService alice_service(&cluster, net.add_node("alice"));
+  darr::ShardedDarrService bob_service(&cluster, net.add_node("bob"));
+  darr::DarrClient alice(&alice_service, "alice");
+  darr::DarrClient bob(&bob_service, "bob");
 
   TEGraph g;
   std::vector<std::unique_ptr<Estimator>> models;

@@ -1,7 +1,7 @@
 // Tests for the RecordStore surface (DESIGN.md §13): the hash ring, the
 // sharded cluster's routing/replication/failover, RecordStore
-// substitutability (repository, single-node service, sharded service, and
-// a test fake all behind one interface), and the DarrClient behaviours
+// substitutability (repository, sharded service at one and four shards,
+// and a test fake all behind one interface), and the DarrClient behaviours
 // that ride on it — claim tracking across lost responses and
 // abandon_all()'s heal-and-release retry passes.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/darr/client.h"
@@ -154,25 +155,28 @@ TEST(RecordStore, FakeImplementsTheContract) {
   exercise_protocol(fake);
 }
 
-TEST(RecordStore, SingleNodeServiceImplementsTheContract) {
-  DarrRepository repo;
+// Cluster shapes {n_shards, replication}: {1, 1} is the paper's single
+// repository, {4, 2} a sharded, replicated tier.
+class ShardedServiceContract
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {
+};
+
+TEST_P(ShardedServiceContract, ImplementsTheContract) {
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
-  const auto self = net.add_node("client");
-  SingleNodeDarrService service(&repo, &net, self, repo_node, RetryPolicy{});
+  DarrCluster cluster(&net, {.n_shards = GetParam().first,
+                             .replication = GetParam().second});
+  ShardedDarrService service(&cluster, net.add_node("client"));
   exercise_protocol(service);
 }
 
-TEST(RecordStore, ShardedServiceImplementsTheContract) {
-  dist::SimNet net;
-  DarrCluster::Config config;
-  config.n_shards = 4;
-  config.replication = 2;
-  DarrCluster cluster(&net, config);
-  const auto self = net.add_node("client");
-  ShardedDarrService service(&cluster, self, RetryPolicy{});
-  exercise_protocol(service);
-}
+INSTANTIATE_TEST_SUITE_P(
+    ClusterShapes, ShardedServiceContract,
+    ::testing::Values(std::make_pair(std::size_t{1}, std::size_t{1}),
+                      std::make_pair(std::size_t{4}, std::size_t{2})),
+    [](const auto& info) {
+      return "shards" + std::to_string(info.param.first) + "_rf" +
+             std::to_string(info.param.second);
+    });
 
 TEST(RecordStore, DarrClientWorksOverAnyStore) {
   FakeRecordStore fake;
@@ -307,9 +311,10 @@ TEST(ShardedDarr, AllOwnersDownThrowsNetworkError) {
 // abandon_all: release retried once the partition heals
 
 TEST(DarrClient, AbandonAllReleasesClaimsOnceThePartitionHeals) {
-  DarrRepository repo;
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
+  DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
+  DarrRepository& repo = cluster.shard(0);
+  const auto repo_node = cluster.node(0);
   const auto self = net.add_node("client");
   RetryPolicy retry;
   retry.max_attempts = 4;
@@ -318,7 +323,8 @@ TEST(DarrClient, AbandonAllReleasesClaimsOnceThePartitionHeals) {
   retry.max_backoff_seconds = 1.0;
   retry.jitter_fraction = 0.0;
   retry.deadline_seconds = 8.0;
-  DarrClient client(&repo, &net, self, repo_node, "client0", retry);
+  ShardedDarrService service(&cluster, self, retry);
+  DarrClient client(&service, "client0", retry);
 
   ASSERT_TRUE(client.claim("k1"));
   ASSERT_TRUE(client.claim("k2"));
@@ -342,15 +348,16 @@ TEST(DarrClient, AbandonAllReleasesClaimsOnceThePartitionHeals) {
 }
 
 TEST(DarrClient, AbandonAllKeepsUnreachableClaimsTracked) {
-  DarrRepository repo;
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
+  DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
+  const auto repo_node = cluster.node(0);
   const auto self = net.add_node("client");
   RetryPolicy tiny;
   tiny.max_attempts = 2;
   tiny.initial_backoff_seconds = 0.01;
   tiny.deadline_seconds = 1.0;
-  DarrClient client(&repo, &net, self, repo_node, "client0", tiny);
+  ShardedDarrService service(&cluster, self, tiny);
+  DarrClient client(&service, "client0", tiny);
 
   ASSERT_TRUE(client.claim("k"));
   net.partition(self, repo_node, net.now(), 1e9);  // never heals

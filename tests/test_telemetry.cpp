@@ -543,9 +543,9 @@ TEST(FleetTelemetry, BackToBackRunsProduceIdenticalMetricsOutput) {
   (void)darr::run_cooperative_search(graph, data, KFold(3), Metric::kRmse, 1);
   const auto second = integer_metric_state();
 
-  // Identical keys AND identical values: instance ids were rewound by
-  // reset_all(), so the second run re-registered the same names, and a
-  // single-client run has no scheduling nondeterminism in its counters.
+  // Identical keys AND identical values: registered names are per-fact,
+  // never per-instance, so the second run registered the same names, and
+  // a single-client run has no scheduling nondeterminism in its counters.
   EXPECT_EQ(first, second);
 }
 

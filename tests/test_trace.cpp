@@ -114,7 +114,7 @@ TEST(Trace, CooperativeSearchYieldsOneConnectedTreePerTrace) {
 
   // The tree spans both clock domains and both sides of the fabric:
   // logical-clock network transfers and repository work attributed to the
-  // repository node.
+  // repository's (single) shard node.
   bool saw_network = false;
   bool saw_repo = false;
   std::set<std::string> nodes;
@@ -125,7 +125,7 @@ TEST(Trace, CooperativeSearchYieldsOneConnectedTreePerTrace) {
       saw_network = true;
     }
     if (s.name.rfind("darr.repo.", 0) == 0) {
-      EXPECT_EQ(s.node, "darr");
+      EXPECT_EQ(s.node, "shard0");
       saw_repo = true;
     }
   }

@@ -102,13 +102,13 @@ void print_fig2() {
       return it == snap.counters.end() ? 0 : it->second;
     };
     double claim_wait_p99 = 0.0;
-    if (auto it = snap.histograms.find("evaluator.claim.wait_seconds");
+    if (auto it = snap.histograms.find("eval.claim.wait_seconds");
         it != snap.histograms.end() && it->second.count > 0) {
       claim_wait_p99 = it->second.quantile(0.99);
     }
     node_rows.push_back(
-        {c.name, coda::bench::fmt_int(counter("evaluator.candidate.local")),
-         coda::bench::fmt_int(counter("evaluator.candidate.cached")),
+        {c.name, coda::bench::fmt_int(counter("eval.candidate.local")),
+         coda::bench::fmt_int(counter("eval.candidate.cached")),
          coda::bench::fmt_int(counter("darr.client.lookups")),
          coda::bench::fmt_int(counter("darr.client.hits")),
          coda::bench::fmt(claim_wait_p99, 4)});
@@ -136,7 +136,7 @@ void print_fig2() {
   auto& slos = obs::global_slos();
   slos.add("darr.repo.store count >= 16");
   slos.add("darr.client.hits value >= 1");
-  slos.add("evaluator.claim.wait_seconds p99 < 30");
+  slos.add("eval.claim.wait_seconds p99 < 30");
   slos.bind_fleet(&fleet);
   for (const auto& r : slos.evaluate()) {
     std::printf("slo: %-44s %s (observed %s)\n", r.spec.text.c_str(),

@@ -63,7 +63,7 @@ int main() {
   auto& slos = obs::global_slos();
   slos.add("darr.repo.store count >= 9");
   slos.add("darr.client.hits value >= 1");
-  slos.add("evaluator.claim.wait_seconds p99 < 30");
+  slos.add("eval.claim.wait_seconds p99 < 30");
   slos.add("pool.queue_wait_seconds p99 < 1");
   slos.add("pool.utilization value <= 1");
   slos.bind_fleet(report.telemetry.get());

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate (ROADMAP.md): plain build + full test suite, every
-# tsan-labelled suite again under thread sanitizer, the chaos, executor and
-# DARR suites under address+undefined-behaviour sanitizers, and the bench
-# regression gate. A chaos failure prints the fault schedule (seed, drop
+# tsan-labelled suite again under thread sanitizer, every test_* suite
+# under address+undefined-behaviour sanitizers, and the bench regression
+# gate. A chaos failure prints the fault schedule (seed, drop
 # rate, partition/crash windows) to replay.
 #
 #   scripts/tier1.sh                      # gate against committed baselines
@@ -47,19 +47,18 @@ TSAN_SUITES=$(ctest --test-dir build-tsan -L tsan -N |
 cmake --build build-tsan -j"$(nproc)" --target ${TSAN_SUITES}
 ctest --test-dir build-tsan -L tsan --output-on-failure
 
-# The executor's tasks capture its state by reference and rely on the
-# wheel-then-pool destruction order; AddressSanitizer catches a task that
-# outlives them, UBSan any undefined arithmetic on the way. The DARR suites
-# (client, record stores, fleet runner, trace) run here too.
-ASAN_SUITES="test_chaos test_eval_engine test_search_scheduler test_evaluator
-    test_darr test_record_store test_fleet test_cooperative test_integration
-    test_trace"
-ASAN_RE="^($(echo ${ASAN_SUITES} | tr ' ' '|'))\$"
-echo "== tier 1: chaos + executor + DARR suites under AddressSanitizer + UBSan =="
+# Every test_* suite also runs under AddressSanitizer + UBSan: the
+# executor's tasks capture its state by reference and rely on the
+# wheel-then-pool destruction order (ASan catches a task that outlives
+# them), and UBSan flags any undefined arithmetic on the way. Like the TSan
+# stage, the suite list is read back from ctest.
+echo "== tier 1: every test_* suite under AddressSanitizer + UBSan =="
 cmake -B build-asan -S . -DCODA_SANITIZE=address,undefined >/dev/null
+ASAN_SUITES=$(ctest --test-dir build-asan -N |
+    sed -n 's/^ *Test *#[0-9]*: *\(test_[A-Za-z0-9_]*\)$/\1/p')
 cmake --build build-asan -j"$(nproc)" --target ${ASAN_SUITES}
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest --test-dir build-asan -R "${ASAN_RE}" --output-on-failure
+    ctest --test-dir build-asan -R '^test_' --output-on-failure
 
 echo "== tier 1: bench regression gate (scripts/bench_gate.py) =="
 python3 scripts/bench_gate.py --self-test

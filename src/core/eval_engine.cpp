@@ -112,36 +112,22 @@ std::vector<std::optional<CachedResult>> CooperativeFetch::fetch_many(
   if (!usable()) {
     return std::vector<std::optional<CachedResult>>(keys.size());
   }
-  std::vector<std::optional<CachedResult>> results;
   try {
-    results = cache_->fetch_many(keys);
+    return cache_->fetch_many(keys);
   } catch (const NetworkError&) {
     degrade("fetch_many");
     return std::vector<std::optional<CachedResult>>(keys.size());
   }
-  std::uint64_t found = 0;
-  for (const auto& r : results) {
-    if (r.has_value()) ++found;
-  }
-  if (found > 0) obs::count_scoped("darr.lookup.hit", found);
-  if (found < results.size()) {
-    obs::count_scoped("darr.lookup.miss", results.size() - found);
-  }
-  return results;
 }
 
 std::optional<CachedResult> CooperativeFetch::fetch(const std::string& key) {
   if (!usable()) return std::nullopt;
-  std::optional<CachedResult> result;
   try {
-    result = cache_->fetch(key);
+    return cache_->fetch(key);
   } catch (const NetworkError&) {
     degrade("fetch");
     return std::nullopt;
   }
-  obs::count_scoped(result.has_value() ? "darr.lookup.hit"
-                                       : "darr.lookup.miss");
-  return result;
 }
 
 bool CooperativeFetch::claim(const std::string& key) {
@@ -181,14 +167,12 @@ void CooperativeFetch::release(const std::string& key) {
 EvalEngine::EvalEngine(EvalOptions options) : options_(std::move(options)) {
   // Register every family the engine can emit, so exported snapshots (and
   // the --metrics-json smoke checks) list them even for runs that never
-  // increment one — e.g. darr.* without a cache, prefix_cache.* when
-  // memoization is disabled.
-  obs::counter("darr.lookup.hit");
-  obs::counter("darr.lookup.miss");
-  obs::counter("evaluator.candidate.local");
-  obs::counter("evaluator.candidate.cached");
-  obs::counter("evaluator.candidate.failed");
-  obs::counter("evaluator.candidate.deferred");
+  // increment one — e.g. eval.candidate.cached without a cache,
+  // prefix_cache.* when memoization is disabled.
+  obs::counter("eval.candidate.local");
+  obs::counter("eval.candidate.cached");
+  obs::counter("eval.candidate.failed");
+  obs::counter("eval.candidate.deferred");
   obs::counter("eval.prefix_cache.hit");
   obs::counter("eval.prefix_cache.miss");
   obs::counter("eval.prefix_cache.evicted");
@@ -211,8 +195,8 @@ EvalEngine::EvalEngine(EvalOptions options) : options_(std::move(options)) {
   obs::gauge("pool.queue_depth");
   obs::gauge("pool.utilization");
   obs::gauge("timerwheel.outstanding");
-  obs::histogram("evaluator.candidate.seconds");
-  obs::histogram("evaluator.claim.wait_seconds");
+  obs::histogram("eval.candidate.seconds");
+  obs::histogram("eval.claim.wait_seconds");
   obs::histogram("cv.fold.seconds");
   obs::histogram("pool.queue_wait_seconds");
   obs::histogram("pool.task_seconds");

@@ -21,9 +21,13 @@
 //     sleep/poll loop, so threads keep scoring other candidates while a
 //     peer works.
 //
-// Metric families: eval.prefix_cache.{hit,miss,evicted,bytes},
-// eval.claim.requeued, plus the pre-existing evaluator.candidate.* /
-// darr.lookup.* / cv.fold.seconds families.
+// Metric families: eval.candidate.{local,cached,failed,deferred,folds,
+// seconds}, eval.claim.{requeued,wait_seconds},
+// eval.prefix_cache.{hit,miss,evicted,bytes}, eval.search.* and
+// cv.fold.seconds. The engine counts no DARR lookups of its own: the
+// ResultCache behind CooperativeFetch does (darr.client.{lookups,hits}).
+// Spans and profiler regions share names: eval.run, eval.candidate,
+// eval.fold (regions eval.fold.{prepare,fit,score} are obs::PhaseScope).
 #pragma once
 
 #include <atomic>

@@ -136,11 +136,10 @@ double score_tabular_fold(const TEGraph& graph,
   std::shared_ptr<const Transformed> held;  // keeps *train_X/*test_X alive
   std::string prefix_key = "tab|f" + std::to_string(fold);
   {
-    // Phase attribution (ISSUE 9): each phase is one region around the
-    // whole lookup-or-compute block (hit and miss paths alike, per the
-    // profiler determinism rules) plus a CandidateCosts charge.
-    PROF_SCOPE("eval.fold.prepare");
-    Stopwatch prepare_timer;
+    // Phase attribution: each phase is one scope around the whole
+    // lookup-or-compute block (hit and miss paths alike, per the profiler
+    // determinism rules).
+    const obs::PhaseScope phase(obs::Phase::kPrepare);
     for (std::size_t t = 0; t < pipeline.n_transformers(); ++t) {
       prefix_key += "|" + pipeline.transformer(t).spec();
       std::shared_ptr<const Transformed> stage =
@@ -161,21 +160,14 @@ double score_tabular_fold(const TEGraph& graph,
       train_X = &held->first;
       test_X = &held->second;
     }
-    obs::phase_event(obs::Phase::kPrepare, prepare_timer.elapsed_seconds());
   }
   Estimator& estimator = pipeline.estimator();
   {
-    PROF_SCOPE("eval.fold.fit");
-    Stopwatch fit_timer;
+    const obs::PhaseScope phase(obs::Phase::kFit);
     estimator.fit(*train_X, fold_data.train.y);
-    obs::phase_event(obs::Phase::kFit, fit_timer.elapsed_seconds());
   }
-  PROF_SCOPE("eval.fold.score");
-  Stopwatch score_timer;
-  const double result =
-      score(metric, fold_data.test.y, estimator.predict(*test_X));
-  obs::phase_event(obs::Phase::kScore, score_timer.elapsed_seconds());
-  return result;
+  const obs::PhaseScope phase(obs::Phase::kScore);
+  return score(metric, fold_data.test.y, estimator.predict(*test_X));
 }
 
 }  // namespace

@@ -387,6 +387,9 @@ void parallel_rows(std::size_t m, std::size_t flops, Fn&& fn) {
 struct GemmCounters {
   obs::Counter& calls = obs::counter("kernel.gemm.calls");
   obs::Counter& flops = obs::counter("kernel.gemm.flops");
+  // The flops of the calls `seconds` times (those >= kTimedFlops): the
+  // numerator that matches it in a derived GF/s rate.
+  obs::Counter& timed_flops = obs::counter("kernel.gemm.timed_flops");
   obs::Histogram& seconds = obs::histogram("kernel.gemm.seconds");
 };
 
@@ -406,6 +409,7 @@ void instrumented(std::size_t m, std::size_t n, std::size_t k, Run&& run) {
     Stopwatch timer;
     run(flops);
     c.seconds.observe(timer.elapsed_seconds());
+    c.timed_flops.inc(flops);
   } else {
     run(flops);
   }

@@ -20,7 +20,9 @@
 //
 // Observability: `kernel.gemm.calls` / `kernel.gemm.flops` count every GEMM;
 // `kernel.gemm.seconds` records wall time for large calls (small ones skip
-// the clock so per-step overhead stays negligible).
+// the clock so per-step overhead stays negligible) and
+// `kernel.gemm.timed_flops` counts those same calls' flops, the numerator
+// of a GF/s rate over `kernel.gemm.seconds`.
 #pragma once
 
 #include <cstddef>

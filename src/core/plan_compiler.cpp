@@ -5,7 +5,6 @@
 
 #include "src/ml/scalers.h"
 #include "src/obs/obs.h"
-#include "src/util/stopwatch.h"
 
 namespace coda {
 namespace {
@@ -192,12 +191,11 @@ double execute_tabular_plan(const CompiledTabularPlan& plan,
   // one interpreted stage. Each segment ends at a materialized boundary,
   // which is the memoized unit (interpreted execution memoizes per stage;
   // fused segments have no per-stage output to share).
-  // Phase attribution (ISSUE 9): the whole segment walk is the "prepare"
-  // phase — one region around lookups and computes alike, per the
-  // profiler determinism rules.
+  // Phase attribution: the whole segment walk is the "prepare" phase — one
+  // scope around lookups and computes alike, per the profiler determinism
+  // rules.
   {
-    PROF_SCOPE("eval.fold.prepare");
-    Stopwatch prepare_timer;
+    const obs::PhaseScope phase(obs::Phase::kPrepare);
     std::size_t t = 0;
     const std::size_t n = plan.stages.size();
     while (t < n) {
@@ -250,21 +248,15 @@ double execute_tabular_plan(const CompiledTabularPlan& plan,
       cur_test = &held->second;
       t = seg_end;
     }
-    obs::phase_event(obs::Phase::kPrepare, prepare_timer.elapsed_seconds());
   }
 
   Estimator& estimator = pipeline.estimator();
   {
-    PROF_SCOPE("eval.fold.fit");
-    Stopwatch fit_timer;
+    const obs::PhaseScope phase(obs::Phase::kFit);
     estimator.fit(*cur_train, train_y);
-    obs::phase_event(obs::Phase::kFit, fit_timer.elapsed_seconds());
   }
-  PROF_SCOPE("eval.fold.score");
-  Stopwatch score_timer;
-  const double result = score(metric, test_y, estimator.predict(*cur_test));
-  obs::phase_event(obs::Phase::kScore, score_timer.elapsed_seconds());
-  return result;
+  const obs::PhaseScope phase(obs::Phase::kScore);
+  return score(metric, test_y, estimator.predict(*cur_test));
 }
 
 }  // namespace coda

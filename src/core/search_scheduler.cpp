@@ -144,7 +144,7 @@ class PlanRun {
   }
 
   EvaluationReport execute() {
-    obs::ScopedSpan span("evaluator.evaluate");
+    obs::ScopedSpan span("eval.run");
     PROF_SCOPE("eval.run");
     root_ctx_ = span.context();
     root_node_ = obs::Tracer::current_node();
@@ -239,7 +239,7 @@ class PlanRun {
       out.fold_scores = hits[i]->fold_scores;
       out.from_cache = true;
       out.eval_seconds = per_key;
-      obs::count_scoped("evaluator.candidate.cached");
+      obs::count_scoped("eval.candidate.cached");
       obs::CandidateCosts::instance().record_cached(candidates_[i].spec);
     }
   }
@@ -347,7 +347,7 @@ class PlanRun {
     if (c.failed.load(std::memory_order_acquire)) {
       out.failed = true;
       out.failure_message = c.failure_message;
-      obs::count_scoped("evaluator.candidate.failed");
+      obs::count_scoped("eval.candidate.failed");
       return;
     }
     CachedResult summary = summarize(c, 0, c.folds_known, candidates_[i].spec);
@@ -356,12 +356,12 @@ class PlanRun {
     out.fold_scores = std::move(summary.fold_scores);
     out.eval_seconds = c.compute_seconds;
     if (c.computed_any) {
-      obs::count_scoped("evaluator.candidate.local");
-      obs::observe_scoped("evaluator.candidate.seconds", out.eval_seconds);
+      obs::count_scoped("eval.candidate.local");
+      obs::observe_scoped("eval.candidate.seconds", out.eval_seconds);
     } else if (coop_.cooperative()) {
       // Every unit's segment arrived from peers.
       out.from_cache = true;
-      obs::count_scoped("evaluator.candidate.cached");
+      obs::count_scoped("eval.candidate.cached");
       obs::CandidateCosts::instance().record_cached(candidates_[i].spec);
     }
   }
@@ -394,7 +394,7 @@ class PlanRun {
     // the ContextScope the submitting task installed. Cooperative calls
     // and fold tasks all descend from it.
     PROF_SCOPE("eval.candidate");
-    obs::ScopedSpan attempt_span("evaluator.candidate");
+    obs::ScopedSpan attempt_span("eval.candidate");
     attempt_span.tag("path", candidates_[i].spec);
     attempt_span.tag("rung", std::to_string(r));
     if (retry) attempt_span.tag("retry", "1");
@@ -455,7 +455,7 @@ class PlanRun {
                             std::chrono::steady_clock::now() - c.block_start)
                             .count();
     c.claim_wait += wait;
-    obs::observe_scoped("evaluator.claim.wait_seconds", wait);
+    obs::observe_scoped("eval.claim.wait_seconds", wait);
     obs::CandidateCosts::instance().record_claim_wait(candidates_[i].spec,
                                                       wait);
   }
@@ -479,7 +479,7 @@ class PlanRun {
       }
       if (!c.was_deferred) {
         c.was_deferred = true;
-        obs::count_scoped("evaluator.candidate.deferred");
+        obs::count_scoped("eval.candidate.deferred");
       }
     }
     if (c.deadline_set && now >= c.deadline) return false;
@@ -502,7 +502,7 @@ class PlanRun {
     // balance the countdown.
     if (!c.failed.load(std::memory_order_acquire)) {
       PROF_SCOPE("eval.fold");
-      obs::ScopedSpan fold_span("evaluator.fold");
+      obs::ScopedSpan fold_span("eval.fold");
       fold_span.tag("path", candidates_[i].spec);
       fold_span.tag("fold", std::to_string(fold));
       fold_span.tag("rung", std::to_string(r));

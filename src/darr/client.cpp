@@ -23,30 +23,18 @@ CachedResult to_cached(const DarrRecord& record) {
 
 DarrClient::DarrClient(RecordStore* store, std::string client_name,
                        RetryPolicy retry)
-    : store_(store), name_(std::move(client_name)), retry_(retry) {
+    : store_(store),
+      name_(std::move(client_name)),
+      retry_(retry),
+      // MetricScope::for_node rejects an empty name.
+      facts_{obs::MetricScope::for_node(name_)} {
   require(store != nullptr, "DarrClient: null record store");
   retry_.validate();
-  require(!name_.empty(), "DarrClient: client name must be non-empty");
-  // Fleet telemetry: the darr.client.* families write the process-wide
-  // registry AND this client's node shard through one handle.
-  auto& scope = obs::MetricScope::for_node(name_);
-  const auto family = [&scope](const char* name) {
-    return obs::ScopedCounter(&obs::counter(name), &scope.counter(name));
-  };
-  family_.lookups = family("darr.client.lookups");
-  family_.hits = family("darr.client.hits");
-  family_.claims_won = family("darr.client.claims_won");
-  family_.claims_lost = family("darr.client.claims_lost");
-  family_.stores = family("darr.client.stores");
-  family_.bytes_sent = family("darr.client.bytes_sent");
-  family_.bytes_received = family("darr.client.bytes_received");
 }
 
 void DarrClient::count_traffic(const Wire& wire) {
-  stats_.bytes_sent.inc(wire.bytes_sent);
-  stats_.bytes_received.inc(wire.bytes_received);
-  family_.bytes_sent.inc(wire.bytes_sent);
-  family_.bytes_received.inc(wire.bytes_received);
+  facts_.bytes_sent.inc(wire.bytes_sent);
+  facts_.bytes_received.inc(wire.bytes_received);
 }
 
 void DarrClient::track_claim(const std::string& key) {
@@ -61,15 +49,11 @@ void DarrClient::untrack_claim(const std::string& key) {
 
 std::optional<CachedResult> DarrClient::fetch(const std::string& key) {
   PROF_SCOPE("darr.client.fetch");
-  obs::ScopedSpan op_span("darr.client.lookup");
+  obs::ScopedSpan op_span("darr.client.fetch");
   Wire wire;
   const auto record = store_->fetch(key, wire);
-  stats_.lookups.inc();
-  family_.lookups.inc();
-  if (record) {
-    stats_.hits.inc();
-    family_.hits.inc();
-  }
+  facts_.lookups.inc();
+  if (record) facts_.hits.inc();
   count_traffic(wire);
   if (!record) return std::nullopt;
   return to_cached(*record);
@@ -79,7 +63,7 @@ std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
     const std::vector<std::string>& keys) {
   if (keys.empty()) return {};
   PROF_SCOPE("darr.client.fetch_many");
-  obs::ScopedSpan op_span("darr.client.lookup_many");
+  obs::ScopedSpan op_span("darr.client.fetch_many");
   op_span.tag("keys", std::to_string(keys.size()));
   Wire wire;
   const auto records = store_->fetch_many(keys, wire);
@@ -94,17 +78,15 @@ std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
       out.push_back(std::nullopt);
     }
   }
-  stats_.lookups.inc(keys.size());
-  stats_.hits.inc(found);
-  family_.lookups.inc(keys.size());
-  family_.hits.inc(found);
+  facts_.lookups.inc(keys.size());
+  facts_.hits.inc(found);
   count_traffic(wire);
   return out;
 }
 
 bool DarrClient::claim(const std::string& key) {
   PROF_SCOPE("darr.client.claim");
-  obs::ScopedSpan op_span("darr.client.try_claim");
+  obs::ScopedSpan op_span("darr.client.claim");
   Wire wire;
   bool granted = false;
   try {
@@ -115,13 +97,11 @@ bool DarrClient::claim(const std::string& key) {
     if (wire.applied) track_claim(key);
     throw;
   }
-  if (granted) track_claim(key);
   if (granted) {
-    stats_.claims_won.inc();
-    family_.claims_won.inc();
+    track_claim(key);
+    facts_.claims_won.inc();
   } else {
-    stats_.claims_lost.inc();
-    family_.claims_lost.inc();
+    facts_.claims_lost.inc();
   }
   count_traffic(wire);
   return granted;
@@ -136,7 +116,7 @@ void DarrClient::put(const std::string& key, const CachedResult& result) {
   record.explanation = result.explanation;
   record.producer = name_;
   PROF_SCOPE("darr.client.put");
-  obs::ScopedSpan op_span("darr.client.store");
+  obs::ScopedSpan op_span("darr.client.put");
   Wire wire;
   try {
     store_->put(std::move(record), wire);
@@ -146,14 +126,13 @@ void DarrClient::put(const std::string& key, const CachedResult& result) {
     throw;
   }
   untrack_claim(key);
-  stats_.stores.inc();
-  family_.stores.inc();
+  facts_.stores.inc();
   count_traffic(wire);
 }
 
 void DarrClient::release(const std::string& key) {
   PROF_SCOPE("darr.client.release");
-  obs::ScopedSpan op_span("darr.client.abandon");
+  obs::ScopedSpan op_span("darr.client.release");
   Wire wire;
   try {
     store_->release(key, name_, wire);
@@ -207,13 +186,13 @@ bool DarrClient::holds_claim(const std::string& key) const {
 
 DarrClient::Stats DarrClient::stats() const {
   Stats out;
-  out.lookups = stats_.lookups.value();
-  out.hits = stats_.hits.value();
-  out.claims_won = stats_.claims_won.value();
-  out.claims_lost = stats_.claims_lost.value();
-  out.stores = stats_.stores.value();
-  out.bytes_sent = stats_.bytes_sent.value();
-  out.bytes_received = stats_.bytes_received.value();
+  out.lookups = facts_.lookups.value();
+  out.hits = facts_.hits.value();
+  out.claims_won = facts_.claims_won.value();
+  out.claims_lost = facts_.claims_lost.value();
+  out.stores = facts_.stores.value();
+  out.bytes_sent = facts_.bytes_sent.value();
+  out.bytes_received = facts_.bytes_received.value();
   return out;
 }
 

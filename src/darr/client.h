@@ -1,8 +1,8 @@
 // DARR client: adapts a RecordStore — a sharded cluster (one shard for the
-// paper's single repository), an in-process repository, or a test fake —
-// to the core ResultCache interface so a GraphEvaluator cooperates
-// transparently (Fig 2), with every repository interaction accounted as
-// simulated network traffic through the store's Wire reporting.
+// paper's single repository) or a test fake — to the core ResultCache
+// interface so a GraphEvaluator cooperates transparently (Fig 2), with
+// every repository interaction accounted as simulated network traffic
+// through the store's Wire reporting.
 #pragma once
 
 #include <mutex>
@@ -20,7 +20,7 @@ namespace coda::darr {
 class DarrClient final : public ResultCache {
  public:
   /// Per-client traffic/behaviour snapshot: a point-in-time view of this
-  /// instance's own (unregistered) counters.
+  /// instance's own counts of the `darr.client.*` facts.
   struct Stats {
     std::size_t lookups = 0;
     std::size_t hits = 0;
@@ -33,17 +33,17 @@ class DarrClient final : public ResultCache {
     bool operator==(const Stats&) const = default;
   };
 
-  /// Any RecordStore (ShardedDarrService, an in-process DarrRepository, a
-  /// test fake). `client_name` identifies this client as a record producer
-  /// and claim holder; `retry` paces abandon_all()'s release passes. Store
+  /// Any RecordStore (ShardedDarrService, whose single-shard cluster is the
+  /// paper's one repository, or a test fake). `client_name` identifies this
+  /// client as a record producer and claim holder; `retry` paces
+  /// abandon_all()'s release passes. Store
   /// operations that throw NetworkError (their own retry budget spent)
   /// propagate to the evaluator's CooperativeFetch, which degrades to
   /// local evaluation.
   DarrClient(RecordStore* store, std::string client_name,
              RetryPolicy retry = {});
 
-  // ResultCache canonical surface (the deprecated lookup/try_claim/store/
-  // abandon spellings delegate here via the base class).
+  // ResultCache surface.
   std::optional<CachedResult> fetch(const std::string& key) override;
   std::vector<std::optional<CachedResult>> fetch_many(
       const std::vector<std::string>& keys) override;
@@ -70,28 +70,18 @@ class DarrClient final : public ResultCache {
   std::vector<std::string> held_claims() const;
 
  private:
-  /// This instance's counters, never registered (the stats() view);
-  /// atomic, so evaluator threads need no client-side lock.
-  struct InstanceCounters {
-    obs::Counter lookups;
-    obs::Counter hits;
-    obs::Counter claims_won;
-    obs::Counter claims_lost;
-    obs::Counter stores;
-    obs::Counter bytes_sent;
-    obs::Counter bytes_received;
-  };
-
-  /// Process-wide `darr.client.*` family counters paired with this
-  /// client's node shard (fleet telemetry): one inc() hits both.
-  struct FamilyCounters {
-    obs::ScopedCounter lookups;
-    obs::ScopedCounter hits;
-    obs::ScopedCounter claims_won;
-    obs::ScopedCounter claims_lost;
-    obs::ScopedCounter stores;
-    obs::ScopedCounter bytes_sent;
-    obs::ScopedCounter bytes_received;
+  /// The `darr.client.*` facts: each inc() moves this client's own count
+  /// (the stats() view), the process-wide family and the client node's
+  /// shard. Atomic, so evaluator threads need no client-side lock.
+  struct Facts {
+    obs::MetricScope& node;
+    obs::FactCounter lookups{node, "darr.client.lookups"};
+    obs::FactCounter hits{node, "darr.client.hits"};
+    obs::FactCounter claims_won{node, "darr.client.claims_won"};
+    obs::FactCounter claims_lost{node, "darr.client.claims_lost"};
+    obs::FactCounter stores{node, "darr.client.stores"};
+    obs::FactCounter bytes_sent{node, "darr.client.bytes_sent"};
+    obs::FactCounter bytes_received{node, "darr.client.bytes_received"};
   };
 
   void count_traffic(const Wire& wire);
@@ -102,8 +92,7 @@ class DarrClient final : public ResultCache {
   RecordStore* store_;
   std::string name_;
   RetryPolicy retry_;
-  InstanceCounters stats_;
-  FamilyCounters family_;
+  Facts facts_;
   mutable std::mutex held_mutex_;
   std::set<std::string> held_claims_;
 };

@@ -26,7 +26,6 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
   // §13); the clients only ever see a RecordStore.
   DarrCluster cluster(&net, {.n_shards = options.n_shards,
                              .replication = options.replication,
-                             .ring_points = options.ring_points,
                              .claim_ttl_ms = options.claim_ttl_ms,
                              .sync_retry = options.retry});
   const dist::NodeId telemetry_node = net.add_node("telemetry");
@@ -35,7 +34,7 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
   if (options.telemetry) {
     collector = std::make_shared<obs::TelemetryCollector>();
     for (const char* metric :
-         {"evaluator.candidate.local", "evaluator.candidate.cached",
+         {"eval.candidate.local", "eval.candidate.cached",
           "darr.client.lookups", "darr.client.hits", "darr.repo.store"}) {
       collector->track(metric);
     }
@@ -101,6 +100,12 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
     }
   };
 
+  // The claim-wait histogram is process-wide and never reset here: this
+  // run's p99 comes from its bucket delta, not from every run so far.
+  const obs::Histogram& claim_wait = obs::histogram("eval.claim.wait_seconds");
+  const std::vector<std::uint64_t> claim_wait_before =
+      claim_wait.bucket_counts();
+
   Stopwatch wall;
   const std::size_t n_workers =
       options.max_parallel_clients == 0
@@ -159,8 +164,12 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
   report.repository_counters = cluster.counters();
   report.sync_stats = cluster.sync_stats();
   report.bytes_on_wire = net.total().bytes;
+  std::vector<std::uint64_t> run_waits = claim_wait.bucket_counts();
+  for (std::size_t b = 0; b < run_waits.size(); ++b) {
+    run_waits[b] -= claim_wait_before[b];
+  }
   report.claim_wait_p99_seconds =
-      obs::histogram("evaluator.claim.wait_seconds").quantile(0.99);
+      obs::quantile_from_buckets(claim_wait.bounds(), run_waits, 0.99);
   return report;
 }
 

@@ -52,8 +52,9 @@ struct CooperativeReport {
   /// Every byte the fabric carried (client ops + replica syncs +
   /// telemetry), from SimNet's deterministic accounting.
   std::size_t bytes_on_wire = 0;
-  /// p99 of evaluator.claim.wait_seconds across the fleet: the claim-
-  /// contention price of waiting on a peer's in-flight computation.
+  /// p99 of eval.claim.wait_seconds over this run's observations across
+  /// the fleet: the claim-contention price of waiting on a peer's
+  /// in-flight computation.
   double claim_wait_p99_seconds = 0.0;
   DarrRepository::Counters repository_counters;  ///< summed over shards
   DarrCluster::SyncStats sync_stats;  ///< zeros when replication == 1
@@ -77,7 +78,6 @@ struct FleetOptions {
   /// n_shards). The default single shard is the paper's one repository.
   std::size_t n_shards = 1;
   std::size_t replication = 2;
-  std::size_t ring_points = 32;
   int claim_ttl_ms = 2000;
   /// Client sessions running concurrently; 0 = one thread per client
   /// (small fleets). Thousand-client fleets set a bounded worker pool; 1

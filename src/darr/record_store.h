@@ -1,9 +1,12 @@
 // The RecordStore interface: the one repository surface every DARR consumer
-// talks to (DESIGN.md §13). DarrRepository implements it in-process, and
-// ShardedDarrService (src/darr/sharded.h) implements it over a consistent-
-// hash ring of replicated shard nodes — a single repository is the 1-shard
-// ring. DarrClient, CooperativeFetch and the eval engine never know how
-// many nodes are behind the surface.
+// talks to (DESIGN.md §13). ShardedDarrService (src/darr/sharded.h)
+// implements it over a consistent-hash ring of replicated shard nodes — a
+// single repository is the 1-shard ring — and tests inject in-memory
+// fakes. DarrClient, CooperativeFetch and the eval engine never know how
+// many nodes are behind the surface. The shard-side DarrRepository uses
+// the same verbs, and so do the spans, retry ops and errors of every
+// operation (`darr.client.<op>`, `darr.repo.<op>`, `net.darr.<op>`,
+// `darr.sync.<op>`).
 //
 // The five operations mirror the ResultCache contract one level down, in
 // repository terms (DarrRecord + explicit client identity):

@@ -19,31 +19,30 @@
 #include <vector>
 
 #include "src/darr/record.h"
-#include "src/darr/record_store.h"
 #include "src/obs/metrics.h"
 
 namespace coda::darr {
 
-/// Thread-safe repository of analytics results with expiring claims. Also
-/// the in-process RecordStore implementation (DESIGN.md §13): fetch/claim/
-/// put/release map onto lookup/try_claim/store/abandon with no simulated
-/// traffic, so tests and single-process tools can drive the unified surface
-/// without a SimNet.
-class DarrRepository : public RecordStore {
+/// Thread-safe repository of analytics results with expiring claims: one
+/// shard of the DARR tier. It speaks the RecordStore vocabulary (fetch /
+/// claim / put / release) but is not itself a RecordStore: clients reach
+/// it through ShardedDarrService, which routes, replicates and accounts
+/// the traffic (DESIGN.md §13).
+class DarrRepository {
  public:
   struct Config {
     /// Claim time-to-live, in wall-clock milliseconds (claims coordinate
     /// concurrently running client threads).
     int claim_ttl_ms = 2000;
     /// SimNet node this repository represents for fleet telemetry: the
-    /// `darr.repo.*` / `darr.claim.*` families are dual-written into
+    /// `darr.repo.*` / `darr.claim.*` facts land in
     /// obs::MetricScope::for_node(node_name) alongside the process-wide
     /// registry.
     std::string node_name = "darr";
   };
 
   /// Per-instance counter snapshot: a point-in-time view of this
-  /// repository's own (unregistered) counters.
+  /// repository's own counts of its `darr.repo.*` / `darr.claim.*` facts.
   struct Counters {
     std::size_t lookups = 0;
     std::size_t hits = 0;
@@ -59,18 +58,18 @@ class DarrRepository : public RecordStore {
   explicit DarrRepository(Config config);
 
   /// Returns the record for `key`, if stored.
-  std::optional<DarrRecord> lookup(const std::string& key);
+  std::optional<DarrRecord> fetch(const std::string& key);
 
   /// Attempts to claim `key` for `client`. Returns true when the claim is
   /// granted (no record yet and no live foreign claim). A client re-claims
   /// its own key idempotently.
-  bool try_claim(const std::string& key, const std::string& client);
+  bool claim(const std::string& key, const std::string& client);
 
   /// Stores a record (releases any claim on its key).
-  void store(DarrRecord record, double stored_at_sim_time = 0.0);
+  void put(DarrRecord record, double stored_at_sim_time = 0.0);
 
   /// Releases `client`'s claim without storing (local failure).
-  void abandon(const std::string& key, const std::string& client);
+  void release(const std::string& key, const std::string& client);
 
   std::size_t size() const;
 
@@ -84,48 +83,30 @@ class DarrRepository : public RecordStore {
 
   Counters counters() const;
 
-  // RecordStore surface (in-process: zero wire bytes, applied on return).
-  std::optional<DarrRecord> fetch(const std::string& key, Wire& wire) override;
-  bool claim(const std::string& key, const std::string& client,
-             Wire& wire) override;
-  void put(DarrRecord record, Wire& wire) override;
-  void release(const std::string& key, const std::string& client,
-               Wire& wire) override;
-  std::size_t n_records() const override { return size(); }
-
  private:
   struct Claim {
     std::string client;
     std::chrono::steady_clock::time_point expires_at;
   };
 
-  /// This instance's counters, never registered (the counters() view).
-  struct InstanceCounters {
-    obs::Counter lookups;
-    obs::Counter hits;
-    obs::Counter stores;
-    obs::Counter claims_granted;
-    obs::Counter claims_denied;
-    obs::Counter claims_expired;
-  };
-
-  /// Process-wide family counters paired with this node's shard (fleet
-  /// telemetry): one inc() hits both registries.
-  struct FamilyCounters {
-    obs::ScopedCounter lookup_hit;
-    obs::ScopedCounter lookup_miss;
-    obs::ScopedCounter store;
-    obs::ScopedCounter claims_granted;
-    obs::ScopedCounter claims_denied;
-    obs::ScopedCounter claims_expired;
+  /// One handle per fact: inc() moves this repository's own count (the
+  /// counters() view), the process-wide family and the node's shard. A
+  /// lookup's own count is hit + miss.
+  struct Facts {
+    obs::MetricScope& node;
+    obs::FactCounter lookup_hit{node, "darr.repo.lookup.hit"};
+    obs::FactCounter lookup_miss{node, "darr.repo.lookup.miss"};
+    obs::FactCounter store{node, "darr.repo.store"};
+    obs::FactCounter claims_granted{node, "darr.claim.granted"};
+    obs::FactCounter claims_denied{node, "darr.claim.denied"};
+    obs::FactCounter claims_expired{node, "darr.claim.expired"};
   };
 
   Config config_;
   mutable std::mutex mutex_;
   std::map<std::string, DarrRecord> records_;
   std::map<std::string, Claim> claims_;
-  InstanceCounters counters_;
-  FamilyCounters family_;
+  Facts facts_;
 };
 
 }  // namespace coda::darr

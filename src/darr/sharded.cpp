@@ -184,16 +184,16 @@ std::optional<DarrRecord> ShardedDarrService::fetch(const std::string& key,
     std::optional<DarrRecord> record;
     try {
       dist::transfer_with_retry(cluster_->net(), self_, node, request, retry_,
-                                "darr.lookup");
+                                "darr.fetch");
       {
-        obs::ScopedSpan repo_span("darr.repo.lookup");
+        obs::ScopedSpan repo_span("darr.repo.fetch");
         repo_span.set_node(cluster_->net().node_name(node));
-        record = cluster_->shard(shard).lookup(key);
+        record = cluster_->shard(shard).fetch(key);
       }
       const std::size_t response =
           record ? record->wire_size() : kMessageOverhead;
       dist::transfer_with_retry(cluster_->net(), node, self_, response,
-                                retry_, "darr.lookup");
+                                retry_, "darr.fetch");
       wire.bytes_sent += request;
       wire.bytes_received += response;
     } catch (const NetworkError&) {
@@ -207,7 +207,7 @@ std::optional<DarrRecord> ShardedDarrService::fetch(const std::string& key,
     reached = true;
   }
   if (reached) return std::nullopt;
-  throw NetworkError("darr.shard.lookup: no reachable owner for " + key);
+  throw NetworkError("darr.shard.fetch: no reachable owner for " + key);
 }
 
 std::vector<std::optional<DarrRecord>> ShardedDarrService::fetch_many(
@@ -226,19 +226,19 @@ std::vector<std::optional<DarrRecord>> ShardedDarrService::fetch_many(
     for (const std::size_t i : indices) request += key_request_size(keys[i]);
     try {
       dist::transfer_with_retry(cluster_->net(), self_, node, request, retry_,
-                                "darr.lookup_many");
+                                "darr.fetch_many");
       std::size_t response = 0;
       {
-        obs::ScopedSpan repo_span("darr.repo.lookup_many");
+        obs::ScopedSpan repo_span("darr.repo.fetch_many");
         repo_span.set_node(cluster_->net().node_name(node));
         for (const std::size_t i : indices) {
-          auto record = cluster_->shard(shard).lookup(keys[i]);
+          auto record = cluster_->shard(shard).fetch(keys[i]);
           response += record ? record->wire_size() : kMessageOverhead;
           out[i] = std::move(record);
         }
       }
       dist::transfer_with_retry(cluster_->net(), node, self_, response,
-                                retry_, "darr.lookup_many");
+                                retry_, "darr.fetch_many");
       wire.bytes_sent += request;
       wire.bytes_received += response;
     } catch (const NetworkError&) {
@@ -248,7 +248,7 @@ std::vector<std::optional<DarrRecord>> ShardedDarrService::fetch_many(
     }
   }
   if (!groups.empty() && unreachable_groups == groups.size()) {
-    throw NetworkError("darr.shard.lookup_many: every shard unreachable");
+    throw NetworkError("darr.shard.fetch_many: every shard unreachable");
   }
   return out;
 }
@@ -262,12 +262,12 @@ bool ShardedDarrService::claim(const std::string& key,
     if (!cluster_->net().node_up(node)) continue;
     try {
       dist::transfer_with_retry(cluster_->net(), self_, node, request, retry_,
-                                "darr.try_claim");
+                                "darr.claim");
       bool granted = false;
       {
-        obs::ScopedSpan repo_span("darr.repo.try_claim");
+        obs::ScopedSpan repo_span("darr.repo.claim");
         repo_span.set_node(cluster_->net().node_name(node));
-        granted = cluster_->shard(shard).try_claim(key, client);
+        granted = cluster_->shard(shard).claim(key, client);
         repo_span.tag("granted", granted ? "1" : "0");
       }
       wire.applied = granted;
@@ -277,11 +277,11 @@ bool ShardedDarrService::claim(const std::string& key,
         // the claim in place.
         sync_owners(shard, owners, key, request, "darr.sync.claim",
                     [&](DarrRepository& replica) {
-                      replica.try_claim(key, client);
+                      replica.claim(key, client);
                     });
       }
       dist::transfer_with_retry(cluster_->net(), node, self_,
-                                kMessageOverhead, retry_, "darr.try_claim");
+                                kMessageOverhead, retry_, "darr.claim");
       wire.bytes_sent += request;
       wire.bytes_received += kMessageOverhead;
       return granted;
@@ -293,7 +293,7 @@ bool ShardedDarrService::claim(const std::string& key,
       continue;
     }
   }
-  throw NetworkError("darr.shard.try_claim: no reachable owner for " + key);
+  throw NetworkError("darr.shard.claim: no reachable owner for " + key);
 }
 
 void ShardedDarrService::put(DarrRecord record, Wire& wire) {
@@ -304,19 +304,19 @@ void ShardedDarrService::put(DarrRecord record, Wire& wire) {
     if (!cluster_->net().node_up(node)) continue;
     try {
       dist::transfer_with_retry(cluster_->net(), self_, node, request, retry_,
-                                "darr.store");
+                                "darr.put");
       {
-        obs::ScopedSpan repo_span("darr.repo.store");
+        obs::ScopedSpan repo_span("darr.repo.put");
         repo_span.set_node(cluster_->net().node_name(node));
-        cluster_->shard(shard).store(record, cluster_->net().now());
+        cluster_->shard(shard).put(record, cluster_->net().now());
       }
       wire.applied = true;
-      sync_owners(shard, owners, record.key, request, "darr.sync.store",
+      sync_owners(shard, owners, record.key, request, "darr.sync.put",
                   [&](DarrRepository& replica) {
-                    replica.store(record, cluster_->net().now());
+                    replica.put(record, cluster_->net().now());
                   });
       dist::transfer_with_retry(cluster_->net(), node, self_,
-                                kMessageOverhead, retry_, "darr.store");
+                                kMessageOverhead, retry_, "darr.put");
       wire.bytes_sent += request;
       wire.bytes_received += kMessageOverhead;
       return;
@@ -325,7 +325,7 @@ void ShardedDarrService::put(DarrRecord record, Wire& wire) {
       continue;
     }
   }
-  throw NetworkError("darr.shard.store: no reachable owner for " +
+  throw NetworkError("darr.shard.put: no reachable owner for " +
                      record.key);
 }
 
@@ -338,19 +338,19 @@ void ShardedDarrService::release(const std::string& key,
     if (!cluster_->net().node_up(node)) continue;
     try {
       dist::transfer_with_retry(cluster_->net(), self_, node, request, retry_,
-                                "darr.abandon");
+                                "darr.release");
       {
-        obs::ScopedSpan repo_span("darr.repo.abandon");
+        obs::ScopedSpan repo_span("darr.repo.release");
         repo_span.set_node(cluster_->net().node_name(node));
-        cluster_->shard(shard).abandon(key, client);
+        cluster_->shard(shard).release(key, client);
       }
       wire.applied = true;
       sync_owners(shard, owners, key, request, "darr.sync.release",
                   [&](DarrRepository& replica) {
-                    replica.abandon(key, client);
+                    replica.release(key, client);
                   });
       dist::transfer_with_retry(cluster_->net(), node, self_,
-                                kMessageOverhead, retry_, "darr.abandon");
+                                kMessageOverhead, retry_, "darr.release");
       wire.bytes_sent += request;
       wire.bytes_received += kMessageOverhead;
       return;
@@ -359,7 +359,7 @@ void ShardedDarrService::release(const std::string& key,
       continue;
     }
   }
-  throw NetworkError("darr.shard.abandon: no reachable owner for " + key);
+  throw NetworkError("darr.shard.release: no reachable owner for " + key);
 }
 
 std::size_t ShardedDarrService::n_records() const { return cluster_->size(); }

@@ -5,38 +5,19 @@
 namespace coda::dist {
 
 ClientCache::ClientCache(SimNet* net, NodeId self, HomeDataStore* home)
-    : net_(net), self_(self), home_(home) {
-  require(net != nullptr && home != nullptr, "ClientCache: null dependency");
+    : net_(net), self_(self), home_(home), facts_{node_scope(net, self)} {
+  require(home != nullptr, "ClientCache: null dependency");
   require(self != home->node_id(),
           "ClientCache: client and home store must be distinct nodes");
-  // Fleet telemetry: clientcache.* families dual-write this node's shard.
-  auto& scope = obs::MetricScope::for_node(net_->node_name(self_));
-  const auto family = [&scope](const char* name) {
-    return obs::ScopedCounter(&obs::counter(name), &scope.counter(name));
-  };
-  family_.pulls = family("clientcache.pull.count");
-  family_.bytes_received = family("clientcache.bytes_received");
-  family_.bytes_saved = family("clientcache.delta.bytes_saved");
-  family_.push_full = family("clientcache.push.full");
-  family_.push_delta = family("clientcache.push.delta");
-  family_.push_notify = family("clientcache.push.notify");
-  family_.push_stale = family("clientcache.push.stale");
-  family_.delta_bytes = obs::ScopedHistogram(
-      &obs::histogram("clientcache.delta.bytes",
-                      obs::Histogram::default_byte_bounds()),
-      &scope.histogram("clientcache.delta.bytes",
-                       obs::Histogram::default_byte_bounds()));
 }
 
 const Bytes& ClientCache::get(const std::string& key) {
   Entry& entry = entries_[key];
-  ++stats_.pulls;
-  family_.pulls.inc();
+  facts_.pulls.inc();
   obs::ScopedSpan span("clientcache.pull");
   span.tag("key", key);
   auto result = home_->fetch(key, self_, entry.version);
-  stats_.bytes_received += result.response_bytes;
-  family_.bytes_received.inc(result.response_bytes);
+  facts_.bytes_received.inc(result.response_bytes);
   if (result.version == entry.version) {
     ++stats_.not_modified_responses;
     return entry.value;
@@ -44,8 +25,7 @@ const Bytes& ClientCache::get(const std::string& key) {
   if (result.is_delta) {
     ++stats_.delta_responses;
     const std::size_t saved = home_->value(key).size() - result.response_bytes;
-    stats_.bytes_saved_by_delta += saved;
-    family_.bytes_saved.inc(saved);
+    facts_.bytes_saved.inc(saved);
     entry.value = apply_delta(entry.value, result.delta);
   } else {
     ++stats_.full_responses;
@@ -87,8 +67,7 @@ void ClientCache::cancel(const std::string& key) { home_->cancel(key, self_); }
 
 void ClientCache::on_push(const PushMessage& message) {
   Entry& entry = entries_[message.key];
-  stats_.bytes_received += message.wire_bytes;
-  family_.bytes_received.inc(message.wire_bytes);
+  facts_.bytes_received.inc(message.wire_bytes);
   // Replay guard: a push can arrive after a pull already advanced this
   // entry past it (lease expired mid-update -> monitor fell back to pull,
   // or a delayed push raced the response). Applying it again would
@@ -97,8 +76,7 @@ void ClientCache::on_push(const PushMessage& message) {
   // notification is harmless (notified_version only ever ratchets up).
   if (message.mode != PushMode::kNotifyOnly &&
       message.version <= entry.version) {
-    ++stats_.stale_pushes;
-    family_.push_stale.inc();
+    facts_.push_stale.inc();
     obs::event(obs::Severity::kWarn, "clientcache.push.stale",
                {{"key", message.key},
                 {"pushed_version", std::to_string(message.version)},
@@ -107,15 +85,13 @@ void ClientCache::on_push(const PushMessage& message) {
   }
   switch (message.mode) {
     case PushMode::kFullValue:
-      ++stats_.pushes_full;
-      family_.push_full.inc();
+      facts_.push_full.inc();
       entry.value = message.full_value;
       entry.version = message.version;
       break;
     case PushMode::kDelta: {
-      ++stats_.pushes_delta;
-      family_.push_delta.inc();
-      family_.delta_bytes.observe(static_cast<double>(message.wire_bytes));
+      facts_.push_delta.inc();
+      facts_.delta_bytes.observe(static_cast<double>(message.wire_bytes));
       if (message.delta.base_version != entry.version) {
         // Base mismatch (e.g. missed push): fall back to a pull.
         ++stats_.delta_fallback_fetches;
@@ -127,15 +103,13 @@ void ClientCache::on_push(const PushMessage& message) {
               ? static_cast<std::size_t>(message.delta.target_size) -
                     message.wire_bytes
               : 0;
-      stats_.bytes_saved_by_delta += saved;
-      family_.bytes_saved.inc(saved);
+      facts_.bytes_saved.inc(saved);
       entry.value = apply_delta(entry.value, message.delta);
       entry.version = message.version;
       break;
     }
     case PushMode::kNotifyOnly:
-      ++stats_.notifications;
-      family_.push_notify.inc();
+      facts_.push_notify.inc();
       if (message.version > entry.notified_version) {
         entry.notified_version = message.version;
       }
@@ -146,6 +120,18 @@ void ClientCache::on_push(const PushMessage& message) {
 std::uint64_t ClientCache::notified_version(const std::string& key) const {
   auto it = entries_.find(key);
   return it == entries_.end() ? 0 : it->second.notified_version;
+}
+
+ClientCache::Stats ClientCache::stats() const {
+  Stats out = stats_;
+  out.pulls = facts_.pulls.value();
+  out.pushes_full = facts_.push_full.value();
+  out.pushes_delta = facts_.push_delta.value();
+  out.notifications = facts_.push_notify.value();
+  out.stale_pushes = facts_.push_stale.value();
+  out.bytes_received = facts_.bytes_received.value();
+  out.bytes_saved_by_delta = facts_.bytes_saved.value();
+  return out;
 }
 
 }  // namespace coda::dist

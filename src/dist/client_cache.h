@@ -64,7 +64,7 @@ class ClientCache {
   /// get() when it actually needs the data.
   std::uint64_t notified_version(const std::string& key) const;
 
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
 
  private:
   struct Entry {
@@ -73,27 +73,28 @@ class ClientCache {
     std::uint64_t notified_version = 0;
   };
 
-  /// Process-wide `clientcache.*` families paired with this cache's node
-  /// shard (fleet telemetry). Bound explicitly in the constructor because
-  /// on_push() runs on the pushing thread, where the ambient scope (if
-  /// any) would be the home store's node, not this client's.
-  struct FamilyCounters {
-    obs::ScopedCounter pulls;
-    obs::ScopedCounter bytes_received;
-    obs::ScopedCounter bytes_saved;
-    obs::ScopedCounter push_full;
-    obs::ScopedCounter push_delta;
-    obs::ScopedCounter push_notify;
-    obs::ScopedCounter push_stale;
-    obs::ScopedHistogram delta_bytes;
+  /// The `clientcache.*` facts, bound to this cache's node: on_push() runs
+  /// on the pushing thread, where the ambient scope (if any) would be the
+  /// home store's node. Their own counts fill the matching stats() fields.
+  struct Facts {
+    obs::MetricScope& node;
+    obs::FactCounter pulls{node, "clientcache.pull.count"};
+    obs::FactCounter bytes_received{node, "clientcache.bytes_received"};
+    obs::FactCounter bytes_saved{node, "clientcache.delta.bytes_saved"};
+    obs::FactCounter push_full{node, "clientcache.push.full"};
+    obs::FactCounter push_delta{node, "clientcache.push.delta"};
+    obs::FactCounter push_notify{node, "clientcache.push.notify"};
+    obs::FactCounter push_stale{node, "clientcache.push.stale"};
+    obs::ScopedHistogram delta_bytes{node, "clientcache.delta.bytes",
+                                     obs::Histogram::default_byte_bounds()};
   };
 
   SimNet* net_;
   NodeId self_;
   HomeDataStore* home_;
-  FamilyCounters family_;
+  Facts facts_;
   std::map<std::string, Entry> entries_;
-  Stats stats_;
+  Stats stats_;  ///< the outcomes with no family of their own
 };
 
 }  // namespace coda::dist

@@ -20,31 +20,11 @@ HomeDataStore::HomeDataStore(SimNet* net, NodeId self)
     : HomeDataStore(net, self, Config()) {}
 
 HomeDataStore::HomeDataStore(SimNet* net, NodeId self, Config config)
-    : net_(net), self_(self), config_(config) {
-  require(net != nullptr, "HomeDataStore: null network");
+    : net_(net), self_(self), config_(config), facts_{node_scope(net, self)} {
   require(config_.max_history >= 1, "HomeDataStore: max_history must be >= 1");
   require(config_.min_delta_ratio > 0.0 && config_.min_delta_ratio <= 1.0,
           "HomeDataStore: min_delta_ratio out of (0,1]");
   config_.retry.validate();
-  // Fleet telemetry: homestore.* families dual-write this node's shard.
-  // Bound here (not per call) because fetch/push run on caller threads.
-  auto& scope = obs::MetricScope::for_node(net_->node_name(self_));
-  const auto family = [&scope](const char* name) {
-    return obs::ScopedCounter(&obs::counter(name), &scope.counter(name));
-  };
-  family_.put = family("homestore.put");
-  family_.push_full = family("homestore.push.full");
-  family_.push_delta = family("homestore.push.delta");
-  family_.push_notify = family("homestore.push.notify");
-  family_.push_lost = family("homestore.push.lost");
-  family_.fetch_not_modified = family("homestore.fetch.not_modified");
-  family_.fetch_delta = family("homestore.fetch.delta");
-  family_.fetch_full = family("homestore.fetch.full");
-  family_.delta_bytes = obs::ScopedHistogram(
-      &obs::histogram("homestore.delta.bytes",
-                      obs::Histogram::default_byte_bounds()),
-      &scope.histogram("homestore.delta.bytes",
-                       obs::Histogram::default_byte_bounds()));
 }
 
 HomeDataStore::ObjectState& HomeDataStore::state_of(const std::string& key) {
@@ -66,7 +46,7 @@ const HomeDataStore::ObjectState& HomeDataStore::state_of(
 
 void HomeDataStore::put(const std::string& key, Bytes value) {
   require(!key.empty(), "HomeDataStore: empty key");
-  family_.put.inc();
+  facts_.put.inc();
   ObjectState& state = objects_[key];
   const Bytes previous = state.current;
 
@@ -154,7 +134,7 @@ void HomeDataStore::push_update(const std::string& key, ObjectState& state,
       // Push lost: keep last_pushed_version where it was, so the next push
       // ships a delta from the base this subscriber actually holds (or the
       // subscriber pulls when its monitor notices the staleness).
-      family_.push_lost.inc();
+      facts_.push_lost.inc();
       obs::event(obs::Severity::kWarn, "homestore.push.lost",
                  {{"key", key},
                   {"client", net_->node_name(lease.client)},
@@ -162,12 +142,12 @@ void HomeDataStore::push_update(const std::string& key, ObjectState& state,
       continue;
     }
     switch (msg.mode) {
-      case PushMode::kFullValue: family_.push_full.inc(); break;
+      case PushMode::kFullValue: facts_.push_full.inc(); break;
       case PushMode::kDelta:
-        family_.push_delta.inc();
-        family_.delta_bytes.observe(static_cast<double>(msg.wire_bytes));
+        facts_.push_delta.inc();
+        facts_.delta_bytes.observe(static_cast<double>(msg.wire_bytes));
         break;
-      case PushMode::kNotifyOnly: family_.push_notify.inc(); break;
+      case PushMode::kNotifyOnly: facts_.push_notify.inc(); break;
     }
     lease.last_pushed_version = state.version;
     if (push_handler_) push_handler_(lease.client, msg);
@@ -198,7 +178,7 @@ HomeDataStore::FetchResult HomeDataStore::fetch(const std::string& key,
 
   if (have_version == state.version) {
     // Up to date: tiny "no change" response.
-    family_.fetch_not_modified.inc();
+    facts_.fetch_not_modified.inc();
     result.is_delta = false;
     result.response_bytes = 16;
     transfer_with_retry(*net_, self_, requester, result.response_bytes,
@@ -210,14 +190,14 @@ HomeDataStore::FetchResult HomeDataStore::fetch(const std::string& key,
   if (it != state.deltas.end() &&
       static_cast<double>(it->second.encoded_size()) <
           config_.min_delta_ratio * static_cast<double>(state.current.size())) {
-    family_.fetch_delta.inc();
+    facts_.fetch_delta.inc();
     result.is_delta = true;
     result.delta = it->second;
     result.response_bytes = it->second.encoded_size();
-    family_.delta_bytes.observe(
+    facts_.delta_bytes.observe(
         static_cast<double>(result.response_bytes));
   } else {
-    family_.fetch_full.inc();
+    facts_.fetch_full.inc();
     result.is_delta = false;
     result.full_value = state.current;
     result.response_bytes = state.current.size();

@@ -131,21 +131,21 @@ class HomeDataStore {
     std::vector<Lease> leases;
   };
 
-  /// Process-wide `homestore.*` families paired with this store's node
-  /// shard (fleet telemetry): one inc()/observe() hits both. Bound in the
-  /// constructor from net->node_name(self); store methods run on caller
-  /// threads, so the explicit binding (not the thread-ambient scope) keeps
-  /// attribution on the home node.
-  struct FamilyCounters {
-    obs::ScopedCounter put;
-    obs::ScopedCounter push_full;
-    obs::ScopedCounter push_delta;
-    obs::ScopedCounter push_notify;
-    obs::ScopedCounter push_lost;
-    obs::ScopedCounter fetch_not_modified;
-    obs::ScopedCounter fetch_delta;
-    obs::ScopedCounter fetch_full;
-    obs::ScopedHistogram delta_bytes;
+  /// The `homestore.*` facts, bound to this store's node (not the thread's
+  /// ambient scope: store methods run on caller threads, and attribution
+  /// stays on the home node). One inc()/observe() per event.
+  struct Facts {
+    obs::MetricScope& node;
+    obs::FactCounter put{node, "homestore.put"};
+    obs::FactCounter push_full{node, "homestore.push.full"};
+    obs::FactCounter push_delta{node, "homestore.push.delta"};
+    obs::FactCounter push_notify{node, "homestore.push.notify"};
+    obs::FactCounter push_lost{node, "homestore.push.lost"};
+    obs::FactCounter fetch_not_modified{node, "homestore.fetch.not_modified"};
+    obs::FactCounter fetch_delta{node, "homestore.fetch.delta"};
+    obs::FactCounter fetch_full{node, "homestore.fetch.full"};
+    obs::ScopedHistogram delta_bytes{node, "homestore.delta.bytes",
+                                     obs::Histogram::default_byte_bounds()};
   };
 
   ObjectState& state_of(const std::string& key);
@@ -159,7 +159,7 @@ class HomeDataStore {
   SimNet* net_;
   NodeId self_;
   Config config_;
-  FamilyCounters family_;
+  Facts facts_;
   std::map<std::string, ObjectState> objects_;
   PushHandler push_handler_;
 };

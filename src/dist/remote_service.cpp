@@ -1,7 +1,5 @@
 #include "src/dist/remote_service.h"
 
-#include <atomic>
-
 #include "src/dist/retry.h"
 #include "src/obs/obs.h"
 
@@ -10,19 +8,13 @@ namespace coda::dist {
 RemoteModelService::RemoteModelService(SimNet* net, NodeId self,
                                        std::unique_ptr<Estimator> model,
                                        RetryPolicy retry)
-    : net_(net), self_(self), model_(std::move(model)), retry_(retry) {
-  require(net != nullptr && model_ != nullptr,
-          "RemoteModelService: null dependency");
+    : net_(net),
+      self_(self),
+      model_(std::move(model)),
+      retry_(retry),
+      facts_{node_scope(net, self)} {
+  require(model_ != nullptr, "RemoteModelService: null dependency");
   retry_.validate();
-  // Fleet telemetry: remote.* families dual-write this node's shard.
-  auto& scope = obs::MetricScope::for_node(net_->node_name(self_));
-  const auto family = [&scope](const char* name) {
-    return obs::ScopedCounter(&obs::counter(name), &scope.counter(name));
-  };
-  family_.fit_calls = family("remote.fit.calls");
-  family_.predict_calls = family("remote.predict.calls");
-  family_.bytes_in = family("remote.bytes_in");
-  family_.bytes_out = family("remote.bytes_out");
 }
 
 void RemoteModelService::fit(NodeId caller, const Matrix& X,
@@ -37,12 +29,9 @@ void RemoteModelService::fit(NodeId caller, const Matrix& X,
     model_->fit(X, y);
   }
   transfer_with_retry(*net_, self_, caller, 16, retry_, "remote.fit");  // ack
-  stats_.fit_calls.inc();
-  stats_.bytes_in.inc(request);
-  stats_.bytes_out.inc(16);
-  family_.fit_calls.inc();
-  family_.bytes_in.inc(request);
-  family_.bytes_out.inc(16);
+  facts_.fit_calls.inc();
+  facts_.bytes_in.inc(request);
+  facts_.bytes_out.inc(16);
 }
 
 std::vector<double> RemoteModelService::predict(NodeId caller,
@@ -60,21 +49,18 @@ std::vector<double> RemoteModelService::predict(NodeId caller,
   const std::size_t response = predictions.size() * sizeof(double) + 16;
   transfer_with_retry(*net_, self_, caller, response, retry_,
                       "remote.predict");
-  stats_.predict_calls.inc();
-  stats_.bytes_in.inc(request);
-  stats_.bytes_out.inc(response);
-  family_.predict_calls.inc();
-  family_.bytes_in.inc(request);
-  family_.bytes_out.inc(response);
+  facts_.predict_calls.inc();
+  facts_.bytes_in.inc(request);
+  facts_.bytes_out.inc(response);
   return predictions;
 }
 
 RemoteModelService::CallStats RemoteModelService::stats() const {
   CallStats out;
-  out.fit_calls = stats_.fit_calls.value();
-  out.predict_calls = stats_.predict_calls.value();
-  out.bytes_in = stats_.bytes_in.value();
-  out.bytes_out = stats_.bytes_out.value();
+  out.fit_calls = facts_.fit_calls.value();
+  out.predict_calls = facts_.predict_calls.value();
+  out.bytes_in = facts_.bytes_in.value();
+  out.bytes_out = facts_.bytes_out.value();
   return out;
 }
 

@@ -18,12 +18,13 @@ namespace coda::dist {
 /// Callers pay request+response bytes per invocation, like an HTTP ML API.
 /// Thread-safe: concurrent evaluator threads may call fit/predict through
 /// their RemoteEstimators — call accounting lives in atomic per-instance
-/// counters and the hosted model is serialized behind a mutex. Transfers retry under the service's RetryPolicy and throw
-/// NetworkError once the budget is spent (the evaluation engine then marks
+/// counts and the hosted model is serialized behind a mutex. Transfers
+/// retry under the service's RetryPolicy and throw NetworkError once the
+/// budget is spent (the evaluation engine then marks
 /// that candidate failed instead of hanging the search).
 class RemoteModelService {
  public:
-  /// Point-in-time snapshot of the service's own (unregistered) counters.
+  /// Point-in-time snapshot of this service's own counts of its facts.
   struct CallStats {
     std::size_t fit_calls = 0;
     std::size_t predict_calls = 0;
@@ -53,31 +54,23 @@ class RemoteModelService {
   }
 
  private:
-  /// This instance's counters, never registered (the stats() view);
-  /// atomic, so concurrent callers need no stats lock.
-  struct InstanceCounters {
-    obs::Counter fit_calls;
-    obs::Counter predict_calls;
-    obs::Counter bytes_in;
-    obs::Counter bytes_out;
+  /// The `remote.*` facts: each inc() moves this service's own count (the
+  /// stats() view), the process-wide family and the service node's shard.
+  /// Atomic, so concurrent callers need no stats lock.
+  struct Facts {
+    obs::MetricScope& node;
+    obs::FactCounter fit_calls{node, "remote.fit.calls"};
+    obs::FactCounter predict_calls{node, "remote.predict.calls"};
+    obs::FactCounter bytes_in{node, "remote.bytes_in"};
+    obs::FactCounter bytes_out{node, "remote.bytes_out"};
   };
 
   SimNet* net_;
   NodeId self_;
   std::unique_ptr<Estimator> model_;
-  /// Process-wide `remote.*` families paired with this service's node
-  /// shard (fleet telemetry): one inc() hits both.
-  struct FamilyCounters {
-    obs::ScopedCounter fit_calls;
-    obs::ScopedCounter predict_calls;
-    obs::ScopedCounter bytes_in;
-    obs::ScopedCounter bytes_out;
-  };
-
   RetryPolicy retry_;
   std::mutex model_mutex_;  // one hosted model, many calling threads
-  InstanceCounters stats_;
-  FamilyCounters family_;
+  Facts facts_;
 };
 
 /// Estimator adapter that forwards fit/predict to a RemoteModelService —

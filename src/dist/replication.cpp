@@ -22,11 +22,7 @@ bool sync_replica(SimNet& net, NodeId primary, NodeId replica,
       // fall through to the failure accounting
     }
   }
-  obs::ScopedCounter failed(
-      &obs::counter("replication.failed_syncs"),
-      &obs::MetricScope::for_node(net.node_name(primary))
-           .counter("replication.failed_syncs"));
-  failed.inc();
+  obs::count_scoped(node_scope(&net, primary), "replication.failed_syncs");
   obs::event(obs::Severity::kError, "replication.sync.failed",
              {{"key", key}, {"replica", net.node_name(replica)}});
   return false;

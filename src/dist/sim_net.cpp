@@ -79,15 +79,9 @@ const std::string& SimNet::node_name(NodeId id) const {
 TransferResult SimNet::transfer(NodeId from, NodeId to, std::size_t bytes,
                                 const MessageHeader& header) {
   // Process-wide wire families, aggregated over every SimNet instance.
-  static auto& messages_sent = obs::counter("simnet.messages");
-  static auto& bytes_sent = obs::counter("simnet.bytes_sent");
   static auto& transfer_seconds =
       obs::histogram("simnet.transfer.seconds",
                      obs::Histogram::exponential_bounds(1e-3, 4.0, 10));
-  static auto& fault_dropped = obs::counter("net.fault.dropped");
-  static auto& fault_partitioned = obs::counter("net.fault.partitioned");
-  static auto& fault_node_down = obs::counter("net.fault.node_down");
-  static auto& fault_spikes = obs::counter("net.fault.latency_spikes");
 
   TransferResult result;
   double start_clock = 0.0;
@@ -110,14 +104,12 @@ TransferResult SimNet::transfer(NodeId from, NodeId to, std::size_t bytes,
     [&] {
       if (crashed_locked(from) || crashed_locked(to)) {
         result.failure = TransferResult::Failure::kNodeDown;
-        fault_node_down.inc();
-        ++fault_stats_.node_down;
+        fault_facts_.node_down.inc();
         return;
       }
       if (partitioned_locked(from, to)) {
         result.failure = TransferResult::Failure::kPartitioned;
-        fault_partitioned.inc();
-        ++fault_stats_.partitioned;
+        fault_facts_.partitioned.inc();
         return;
       }
 
@@ -140,17 +132,14 @@ TransferResult SimNet::transfer(NodeId from, NodeId to, std::size_t bytes,
           stats.simulated_seconds += latency;
           total_messages_.inc();
           total_seconds_.add(latency);
-          messages_sent.inc();
-          fault_dropped.inc();
-          ++fault_stats_.dropped;
+          fault_facts_.dropped.inc();
           return;
         }
         if (faults_.latency_spike_probability > 0.0 &&
             fault_draw_locked(kSpikeSalt, from, to, index) <
                 faults_.latency_spike_probability) {
           latency += faults_.latency_spike_seconds;
-          fault_spikes.inc();
-          ++fault_stats_.latency_spikes;
+          fault_facts_.latency_spikes.inc();
         }
         if (faults_.bandwidth_collapse_probability > 0.0 &&
             fault_draw_locked(kCollapseSalt, from, to, index) <
@@ -168,8 +157,6 @@ TransferResult SimNet::transfer(NodeId from, NodeId to, std::size_t bytes,
       total_messages_.inc();
       total_bytes_.inc(bytes);
       total_seconds_.add(seconds);
-      messages_sent.inc();
-      bytes_sent.inc(bytes);
       transfer_seconds.observe(seconds);
     }();
   }
@@ -293,14 +280,21 @@ LinkStats SimNet::total() const {
 }
 
 SimNet::FaultStats SimNet::fault_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return fault_stats_;
+  FaultStats out;
+  out.dropped = fault_facts_.dropped.value();
+  out.partitioned = fault_facts_.partitioned.value();
+  out.node_down = fault_facts_.node_down.value();
+  out.latency_spikes = fault_facts_.latency_spikes.value();
+  return out;
 }
 
 void SimNet::reset_stats() {
   std::lock_guard<std::mutex> lock(mutex_);
   links_.clear();
-  fault_stats_ = FaultStats{};
+  fault_facts_.dropped.reset();
+  fault_facts_.partitioned.reset();
+  fault_facts_.node_down.reset();
+  fault_facts_.latency_spikes.reset();
   total_messages_.reset();
   total_bytes_.reset();
   total_seconds_.reset();
@@ -329,6 +323,11 @@ double SimNet::fault_draw_locked(std::uint64_t salt, NodeId from, NodeId to,
   h = mix64(h ^ ((static_cast<std::uint64_t>(to) + 1) << 20));
   h = mix64(h ^ static_cast<std::uint64_t>(index));
   return unit(h);
+}
+
+obs::MetricScope& node_scope(const SimNet* net, NodeId node) {
+  require(net != nullptr, "SimNet: null network");
+  return obs::MetricScope::for_node(net->node_name(node));
 }
 
 }  // namespace coda::dist

@@ -36,7 +36,7 @@ using NodeId = std::size_t;
 /// parented under it, and anchors the trace's steady/logical alignment.
 struct MessageHeader {
   obs::TraceContext trace;
-  std::string op;  ///< short verb, e.g. "darr.lookup" ("" = "transfer")
+  std::string op;  ///< short verb, e.g. "darr.fetch" ("" = "transfer")
 };
 
 /// Traffic counters for one directed node pair (and, via total(), for a
@@ -181,12 +181,24 @@ class SimNet {
   std::map<std::pair<NodeId, NodeId>, std::size_t> link_attempts_;
   std::vector<Window> partitions_;
   std::vector<Window> crashes_;
-  FaultStats fault_stats_;
-  // Fabric totals, never registered (the total() view; the process-wide
-  // `simnet.*` families sum every fabric); per-link detail stays in links_.
-  obs::Counter total_messages_;
-  obs::Counter total_bytes_;
+  // The `net.fault.*` facts; the own counts are the fault_stats() view.
+  struct FaultFacts {
+    obs::FactCounter dropped{"net.fault.dropped"};
+    obs::FactCounter partitioned{"net.fault.partitioned"};
+    obs::FactCounter node_down{"net.fault.node_down"};
+    obs::FactCounter latency_spikes{"net.fault.latency_spikes"};
+  };
+  FaultFacts fault_facts_;
+  // Fabric totals: the own counts are the total() view, the process-wide
+  // `simnet.*` families sum every fabric; per-link detail stays in links_.
+  obs::FactCounter total_messages_{"simnet.messages"};
+  obs::FactCounter total_bytes_{"simnet.bytes_sent"};
   obs::Gauge total_seconds_;
 };
+
+/// `node`'s metric shard on `net`, for handles bound in a member
+/// initializer: checks `net` first, since initializers run before the
+/// constructor body's own checks.
+obs::MetricScope& node_scope(const SimNet* net, NodeId node);
 
 }  // namespace coda::dist

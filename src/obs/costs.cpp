@@ -22,7 +22,7 @@ void CandidateCosts::record_fold(const std::string& path, double seconds) {
 }
 
 void CandidateCosts::record_cached(const std::string& path) {
-  // No counter of its own: every caller counts evaluator.candidate.cached.
+  // No counter of its own: every caller counts eval.candidate.cached.
   std::lock_guard<std::mutex> lock(mutex_);
   ++table_[path].cached;
 }
@@ -91,9 +91,25 @@ void prefix_event(bool hit) {
   CandidateCosts::instance().record_prefix(t_current_candidate, hit);
 }
 
-void phase_event(Phase phase, double seconds) {
+namespace {
+
+prof::RegionId phase_region(Phase phase) {
+  static const prof::RegionId regions[] = {
+      prof::intern("eval.fold.prepare"), prof::intern("eval.fold.fit"),
+      prof::intern("eval.fold.score")};
+  return regions[static_cast<std::size_t>(phase)];
+}
+
+}  // namespace
+
+PhaseScope::PhaseScope(Phase phase)
+    : phase_(phase), region_(phase_region(phase)) {}
+
+PhaseScope::~PhaseScope() {
+  const double seconds = region_.stop() * 1e-9;
   if (t_current_candidate.empty()) return;
-  CandidateCosts::instance().record_phase(t_current_candidate, phase, seconds);
+  CandidateCosts::instance().record_phase(t_current_candidate, phase_,
+                                          seconds);
 }
 
 }  // namespace coda::obs

@@ -15,6 +15,8 @@
 #include <mutex>
 #include <string>
 
+#include "src/obs/profiler.h"
+
 namespace coda::obs {
 
 /// Aggregated cost of one candidate pipeline (keyed by its spec string).
@@ -86,9 +88,23 @@ const std::string& current_candidate();
 /// unattributed).
 void prefix_event(bool hit);
 
-/// Charges `seconds` of a fold phase to the ambient candidate (no-op when
-/// unattributed). Score paths wrap their prepare/fit/score blocks with a
-/// Stopwatch and report here, alongside the PROF_SCOPE region.
-void phase_event(Phase phase, double seconds);
+/// One fold phase, timed once: the scope opens the `eval.fold.prepare` /
+/// `.fit` / `.score` profiler region and, on close, charges the region's
+/// elapsed time to the ambient candidate's cost row (no-op when
+/// unattributed). Score paths declare one per phase block, around the
+/// whole lookup-or-compute work (profiler determinism rules, DESIGN.md
+/// §15).
+class PhaseScope {
+ public:
+  explicit PhaseScope(Phase phase);
+  ~PhaseScope();
+
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+ private:
+  Phase phase_;
+  prof::Scope region_;
+};
 
 }  // namespace coda::obs

@@ -58,11 +58,15 @@ double Histogram::quantile(double q) const {
   if (count() == 0) return 0.0;
   // Snapshot the bucket counts once so the rank and the cumulative walk
   // agree even while other threads are observing.
+  return quantile_from_buckets(bounds_, bucket_counts(), q);
+}
+
+std::vector<std::uint64_t> Histogram::bucket_counts() const {
   std::vector<std::uint64_t> counts(buckets_.size());
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     counts[i] = buckets_[i].load(std::memory_order_relaxed);
   }
-  return quantile_from_buckets(bounds_, counts, q);
+  return counts;
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -218,7 +222,7 @@ namespace {
 
 // Shard table: name -> scope. Scopes are heap-allocated and never freed
 // (same lifetime contract as the process-wide registry), so pointers
-// cached by NodeScope installs and ScopedCounter handles stay valid
+// cached by NodeScope installs and FactCounter handles stay valid
 // across obs::reset_all().
 struct ScopeTable {
   std::mutex mutex;
@@ -282,6 +286,12 @@ MetricScope* MetricScope::install(MetricScope* scope) {
 void count_scoped(const std::string& name, std::uint64_t n) {
   MetricsRegistry::instance().counter(name).inc(n);
   if (t_current_scope != nullptr) t_current_scope->counter(name).inc(n);
+}
+
+void count_scoped(MetricScope& node, const std::string& name,
+                  std::uint64_t n) {
+  MetricsRegistry::instance().counter(name).inc(n);
+  node.counter(name).inc(n);
 }
 
 void observe_scoped(const std::string& name, double value,

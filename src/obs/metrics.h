@@ -5,15 +5,16 @@
 // is only ever taken at first registration and at export time.
 //
 // Naming convention: dot-separated families, label as the last segment —
-// e.g. `darr.lookup.hit` / `darr.lookup.miss`. Registered names are
-// per-fact, never per-instance: the per-instance views (DarrRepository::
-// counters(), DarrClient::stats(), SimNet::total(), RemoteModelService::
-// stats()) read unregistered Counter/Gauge members of their object.
+// e.g. `darr.repo.lookup.hit` / `darr.repo.lookup.miss`. Each fact has one
+// registered name, never one per instance: the per-instance views
+// (DarrRepository::counters(), DarrClient::stats(), ClientCache::stats(),
+// RemoteModelService::stats()) read the unregistered own count of a
+// FactCounter, and SimNet::total() its own unregistered members.
 //
 // Fleet telemetry (DESIGN.md §12): in addition to the process-wide
 // registry, every simulated node can own a MetricScope — a registry shard
 // keyed by node name. Instrumented call sites write both the shard and the
-// global family (ScopedCounter / ScopedHistogram, or the ambient
+// global family in one call (FactCounter / ScopedHistogram, or the
 // count_scoped()/observe_scoped() helpers driven by obs::NodeScope), so
 // the global view stays the exact sum of the shards for families written
 // exclusively through scoped handles.
@@ -83,6 +84,8 @@ class Histogram {
   std::uint64_t bucket_count(std::size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
+  /// Every bucket's count, +inf slot last (quantile_from_buckets() input).
+  std::vector<std::uint64_t> bucket_counts() const;
 
   void reset();
 
@@ -205,48 +208,61 @@ class MetricScope {
   MetricsRegistry registry_;
 };
 
-/// Counter handle pairing a node shard's counter with the process-wide
-/// family counter: inc() writes both, value() reads the primary
-/// (process-wide) side. Default-constructed handles are inert.
-class ScopedCounter {
+/// One counted fact of one object: inc() moves the object's own count
+/// (value(), the read behind per-instance views such as
+/// DarrClient::stats()), the process-wide family counter and, for an
+/// object bound to a node, that node's shard by the same amount. The own
+/// count is never registered, so instances sharing a node keep separate
+/// values while the family stays the exact sum of the shards. Not
+/// copyable; construct in place.
+class FactCounter {
  public:
-  ScopedCounter() = default;
-  ScopedCounter(Counter* primary, Counter* shard)
-      : primary_(primary), shard_(shard) {}
+  FactCounter(MetricScope& node, const std::string& name)
+      : global_(&counter(name)), shard_(&node.counter(name)) {}
+  /// A fact with no node shard (e.g. a whole SimNet fabric's traffic).
+  explicit FactCounter(const std::string& name) : global_(&counter(name)) {}
 
   void inc(std::uint64_t n = 1) {
-    if (primary_ != nullptr) primary_->inc(n);
+    own_.inc(n);
+    global_->inc(n);
     if (shard_ != nullptr) shard_->inc(n);
   }
-  std::uint64_t value() const {
-    return primary_ != nullptr ? primary_->value() : 0;
-  }
+  std::uint64_t value() const { return own_.value(); }
+  /// Zeroes the own count only; the registered counters keep counting.
+  void reset() { own_.reset(); }
 
  private:
-  Counter* primary_ = nullptr;
+  Counter own_;
+  Counter* global_;
   Counter* shard_ = nullptr;
 };
 
-/// Histogram handle mirroring ScopedCounter for observe().
+/// Histogram handle writing the process-wide family and one node's shard:
+/// observe() hits both. `bounds` applies as in obs::histogram().
 class ScopedHistogram {
  public:
-  ScopedHistogram() = default;
-  ScopedHistogram(Histogram* primary, Histogram* shard)
-      : primary_(primary), shard_(shard) {}
+  ScopedHistogram(MetricScope& node, const std::string& name,
+                  const std::vector<double>& bounds = {})
+      : primary_(&histogram(name, bounds)),
+        shard_(&node.histogram(name, bounds)) {}
 
   void observe(double value) {
-    if (primary_ != nullptr) primary_->observe(value);
-    if (shard_ != nullptr) shard_->observe(value);
+    primary_->observe(value);
+    shard_->observe(value);
   }
 
  private:
-  Histogram* primary_ = nullptr;
-  Histogram* shard_ = nullptr;
+  Histogram* primary_;
+  Histogram* shard_;
 };
 
 /// Increments `name` in the process-wide registry and, when the calling
 /// thread runs under an obs::NodeScope, in that node's shard too.
 void count_scoped(const std::string& name, std::uint64_t n = 1);
+
+/// count_scoped() into `node`'s shard instead of the ambient one.
+void count_scoped(MetricScope& node, const std::string& name,
+                  std::uint64_t n = 1);
 
 /// observe()s `name` in the process-wide registry and the ambient node
 /// shard (if any). `bounds` applies only when a side first registers the

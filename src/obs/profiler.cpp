@@ -242,7 +242,7 @@ Scope::Scope(RegionId region) {
   start_ns_ = now_ns();
 }
 
-Scope::~Scope() {
+std::uint64_t Scope::stop() {
   const std::uint64_t elapsed = now_ns() - start_ns_;
   auto* node = static_cast<PathNode*>(node_);
   // Single-writer accumulate: relaxed load+store, no RMW on the hot path.
@@ -252,6 +252,8 @@ Scope::~Scope() {
       node->total_ns.load(std::memory_order_relaxed) + elapsed,
       std::memory_order_relaxed);
   t_state.current = static_cast<PathNode*>(prev_);
+  node_ = nullptr;
+  return elapsed;
 }
 
 std::vector<PathStat> merged_paths() {
@@ -358,10 +360,11 @@ std::string report(std::size_t max_rows) {
                   format_seconds(stat.total_ns * 1e-9).c_str());
     os << line;
   }
-  // Derived FLOP rate (ISSUE 9): the GEMM kernel publishes flop counts
-  // and per-call seconds; no PROF_SCOPE sits inside the kernel itself.
+  // Derived FLOP rate: the GEMM kernel times only its calls above a size
+  // threshold, and kernel.gemm.timed_flops counts exactly those calls'
+  // flops; no PROF_SCOPE sits inside the kernel itself.
   const auto& reg = MetricsRegistry::instance();
-  const auto flops = reg.find_counter("kernel.gemm.flops");
+  const auto flops = reg.find_counter("kernel.gemm.timed_flops");
   const Histogram* seconds = reg.find_histogram("kernel.gemm.seconds");
   if (flops && *flops > 0 && seconds != nullptr && seconds->sum() > 0.0) {
     std::snprintf(line, sizeof(line),

@@ -55,7 +55,14 @@ const std::string& region_name(RegionId id);
 class Scope {
  public:
   explicit Scope(RegionId region);
-  ~Scope();
+  ~Scope() {
+    if (node_ != nullptr) stop();
+  }
+
+  /// Closes the region now and returns the nanoseconds it was charged
+  /// (the one clock read pair callers can reuse); the destructor is then
+  /// a no-op. Call at most once.
+  std::uint64_t stop();
 
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;
@@ -105,8 +112,8 @@ void write_folded(const std::string& path);
 
 /// Human-readable `coda_top` view: the top `max_rows` regions by
 /// (calls desc, name), with calls, self/total time, and — when the
-/// kernel.gemm.{flops,seconds} metrics are non-empty — the derived
-/// GEMM GF/s line.
+/// kernel.gemm.{timed_flops,seconds} metrics are non-empty — the derived
+/// GEMM GF/s line (timed flops over timed seconds).
 std::string report(std::size_t max_rows = 24);
 
 /// Publishes `node`'s profile as counter increments since the last

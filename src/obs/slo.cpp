@@ -91,10 +91,7 @@ MetricProbe probe_registry(const std::string& metric) {
   if (const Histogram* h = registry.find_histogram(metric); h != nullptr) {
     HistProbe hp;
     hp.bounds = h->bounds();
-    hp.buckets.reserve(h->n_buckets());
-    for (std::size_t i = 0; i < h->n_buckets(); ++i) {
-      hp.buckets.push_back(h->bucket_count(i));
-    }
+    hp.buckets = h->bucket_counts();
     hp.count = h->count();
     hp.sum = h->sum();
     out.hist = std::move(hp);

@@ -4,9 +4,9 @@
 // when no collector is bound):
 //
 //   "<metric> <stat> <cmp> <threshold>"
-//   e.g.  "eval.claim.wait p99 < 0.5"
-//         "net.fault.drops rate < 100"
-//         "darr.lookup.hit value >= 1"
+//   e.g.  "eval.claim.wait_seconds p99 < 0.5"
+//         "net.fault.dropped rate < 100"
+//         "darr.client.hits value >= 1"
 //
 // stats:  value (counter/gauge), count (histogram count or counter),
 //         mean, p50, p95, p99 (histograms), rate (per-second change of a

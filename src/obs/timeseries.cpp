@@ -158,10 +158,7 @@ MetricsSnapshot snapshot_registry(const MetricsRegistry& registry) {
   for (const auto& [name, h] : registry.histogram_views()) {
     HistogramSnapshot snap;
     snap.bounds = h->bounds();
-    snap.buckets.reserve(h->n_buckets());
-    for (std::size_t i = 0; i < h->n_buckets(); ++i) {
-      snap.buckets.push_back(h->bucket_count(i));
-    }
+    snap.buckets = h->bucket_counts();
     snap.count = h->count();
     snap.sum = h->sum();
     out.histograms.emplace(name, std::move(snap));

@@ -10,7 +10,6 @@
 #include "src/ts/forecasters.h"
 #include "src/ts/nn_forecasters.h"
 #include "src/util/hash.h"
-#include "src/util/stopwatch.h"
 
 namespace coda::ts {
 namespace {
@@ -213,13 +212,12 @@ double score_forecast_fold(const ForecastGraph& graph,
     // plan per (scaler, windower) prefix. The key embeds the canonical
     // component specs, so a parameter change invalidates the plan exactly
     // like it invalidates the fitted prefix below.
-    // Phase attribution (ISSUE 9): plan + fold memoization = prepare,
-    // model fit = fit, predict + metric = score; each region wraps its
+    // Phase attribution: plan + fold memoization = prepare, model fit =
+    // fit, predict + metric = score; each phase scope wraps its
     // lookup-or-compute block whole (profiler determinism rules).
     std::shared_ptr<const PreparedFold> prepared;
     {
-      PROF_SCOPE("eval.fold.prepare");
-      Stopwatch prepare_timer;
+      const obs::PhaseScope phase(obs::Phase::kPrepare);
       const std::string plan_key = "plan|ts|" + prefix;
       std::shared_ptr<const CompiledForecastPlan> plan =
           prefixes.get<CompiledForecastPlan>(plan_key);
@@ -236,25 +234,18 @@ double score_forecast_fold(const ForecastGraph& graph,
         prefixes.insert(fold_key, computed, computed->bytes());
         prepared = std::move(computed);
       }
-      obs::phase_event(obs::Phase::kPrepare, prepare_timer.elapsed_seconds());
     }
     {
-      PROF_SCOPE("eval.fold.fit");
-      Stopwatch fit_timer;
+      const obs::PhaseScope phase(obs::Phase::kFit);
       pipeline.model().fit(prepared->X_train, prepared->y_train);
-      obs::phase_event(obs::Phase::kFit, fit_timer.elapsed_seconds());
     }
-    PROF_SCOPE("eval.fold.score");
-    Stopwatch score_timer;
-    const double result = score(metric, prepared->y_val,
-                                pipeline.model().predict(prepared->X_val));
-    obs::phase_event(obs::Phase::kScore, score_timer.elapsed_seconds());
-    return result;
+    const obs::PhaseScope phase(obs::Phase::kScore);
+    return score(metric, prepared->y_val,
+                 pipeline.model().predict(prepared->X_val));
   }
   std::shared_ptr<const WindowedData> wd;
   {
-    PROF_SCOPE("eval.fold.prepare");
-    Stopwatch prepare_timer;
+    const obs::PhaseScope phase(obs::Phase::kPrepare);
     const std::string prefix_key =
         "ts|f" + std::to_string(fold) + "|" + prefix;
     wd = prefixes.get<WindowedData>(prefix_key);
@@ -264,20 +255,14 @@ double score_forecast_fold(const ForecastGraph& graph,
       prefixes.insert(prefix_key, computed, windowed_bytes(*computed));
       wd = std::move(computed);
     }
-    obs::phase_event(obs::Phase::kPrepare, prepare_timer.elapsed_seconds());
   }
   {
-    PROF_SCOPE("eval.fold.fit");
-    Stopwatch fit_timer;
+    const obs::PhaseScope phase(obs::Phase::kFit);
     pipeline.fit_prepared(series, a, b, *wd);
-    obs::phase_event(obs::Phase::kFit, fit_timer.elapsed_seconds());
   }
-  PROF_SCOPE("eval.fold.score");
-  Stopwatch score_timer;
+  const obs::PhaseScope phase(obs::Phase::kScore);
   const auto [pred, truth] = pipeline.predict_range_prepared(*wd, c, d);
-  const double result = score(metric, truth, pred);
-  obs::phase_event(obs::Phase::kScore, score_timer.elapsed_seconds());
-  return result;
+  return score(metric, truth, pred);
 }
 
 }  // namespace

@@ -553,7 +553,7 @@ TEST(Chaos, SloChecksEvaluateOnAChaosRun) {
   slos.add("net.fault.dropped value >= 1");     // faults were injected
   slos.add("retry.attempts value >= 1");        // and absorbed by retries
   slos.add("retry.gave_up value <= 0");         // without exhausting budgets
-  slos.add("evaluator.candidate.seconds p99 < 60");
+  slos.add("eval.candidate.seconds p99 < 60");
   const auto results = slos.evaluate();
   slos.clear();
 

@@ -2,6 +2,8 @@
 // everywhere, near-zero redundant work, identical scores to a solo run.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "src/darr/cooperative.h"
 #include "src/data/synthetic.h"
 #include "src/ml/decision_tree.h"
@@ -120,6 +122,53 @@ TEST(Cooperative, SingleClientDegeneratesToPlainSearch) {
   EXPECT_EQ(report.clients[0].evaluated_locally, 9u);
   EXPECT_EQ(report.clients[0].served_from_cache, 0u);
   EXPECT_EQ(report.redundant_evaluations, 0u);
+}
+
+// Denies the first claim it sees, once, then forwards everything: the
+// engine defers that candidate on its timer wheel and records a genuine
+// claim wait when the retried claim is granted.
+class DenyFirstClaim final : public ResultCache {
+ public:
+  explicit DenyFirstClaim(ResultCache* inner) : inner_(inner) {}
+  std::optional<CachedResult> fetch(const std::string& key) override {
+    return inner_->fetch(key);
+  }
+  std::vector<std::optional<CachedResult>> fetch_many(
+      const std::vector<std::string>& keys) override {
+    return inner_->fetch_many(keys);
+  }
+  bool claim(const std::string& key) override {
+    if (!denied_.exchange(true)) return false;
+    return inner_->claim(key);
+  }
+  void put(const std::string& key, const CachedResult& result) override {
+    inner_->put(key, result);
+  }
+  void release(const std::string& key) override { inner_->release(key); }
+
+ private:
+  ResultCache* inner_;
+  std::atomic<bool> denied_{false};
+};
+
+TEST(Cooperative, ClaimWaitP99CoversOnlyItsOwnRun) {
+  const auto d = dataset();
+  const auto g = graph();
+  // Two back-to-back runs in one process, no obs::reset_all() between
+  // them: only the first waits on a claim.
+  const auto run = [&](bool deny_first_claim) {
+    return run_cooperative_fleet(
+        g.enumerate_candidates().size(), FleetOptions{},
+        [&](std::size_t, ResultCache& cache) {
+          DenyFirstClaim denying(&cache);
+          EvalOptions eval;
+          eval.threads = 1;
+          eval.cache = deny_first_claim ? &denying : &cache;
+          return GraphEvaluator(eval).evaluate(g, d, KFold(3));
+        });
+  };
+  EXPECT_GT(run(true).claim_wait_p99_seconds, 0.0);
+  EXPECT_EQ(run(false).claim_wait_p99_seconds, 0.0);
 }
 
 TEST(Cooperative, RejectsZeroClients) {

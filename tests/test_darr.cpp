@@ -47,9 +47,9 @@ TEST(DarrRecord, CorruptBufferRejected) {
 
 TEST(DarrRepository, LookupStoreFlow) {
   DarrRepository repo;
-  EXPECT_FALSE(repo.lookup("k").has_value());
-  repo.store(sample_record("k"), 1.5);
-  const auto hit = repo.lookup("k");
+  EXPECT_FALSE(repo.fetch("k").has_value());
+  repo.put(sample_record("k"), 1.5);
+  const auto hit = repo.fetch("k");
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->mean_score, 0.25);
   EXPECT_DOUBLE_EQ(hit->stored_at, 1.5);
@@ -62,23 +62,23 @@ TEST(DarrRepository, LookupStoreFlow) {
 
 TEST(DarrRepository, ClaimBlocksOthersUntilStore) {
   DarrRepository repo;
-  EXPECT_TRUE(repo.try_claim("k", "alice"));
-  EXPECT_FALSE(repo.try_claim("k", "bob"));
-  EXPECT_TRUE(repo.try_claim("k", "alice"));  // idempotent re-claim
-  repo.store(sample_record("k"));
+  EXPECT_TRUE(repo.claim("k", "alice"));
+  EXPECT_FALSE(repo.claim("k", "bob"));
+  EXPECT_TRUE(repo.claim("k", "alice"));  // idempotent re-claim
+  repo.put(sample_record("k"));
   // Once stored, claims are denied — the result exists, go look it up.
-  EXPECT_FALSE(repo.try_claim("k", "bob"));
-  EXPECT_FALSE(repo.try_claim("k", "alice"));
+  EXPECT_FALSE(repo.claim("k", "bob"));
+  EXPECT_FALSE(repo.claim("k", "alice"));
 }
 
 TEST(DarrRepository, AbandonReleasesClaim) {
   DarrRepository repo;
-  EXPECT_TRUE(repo.try_claim("k", "alice"));
-  repo.abandon("k", "alice");
-  EXPECT_TRUE(repo.try_claim("k", "bob"));
+  EXPECT_TRUE(repo.claim("k", "alice"));
+  repo.release("k", "alice");
+  EXPECT_TRUE(repo.claim("k", "bob"));
   // Abandoning someone else's claim is a no-op.
-  repo.abandon("k", "mallory");
-  EXPECT_FALSE(repo.try_claim("k", "carol"));
+  repo.release("k", "mallory");
+  EXPECT_FALSE(repo.claim("k", "carol"));
 }
 
 TEST(DarrRepository, ExpiredClaimIsStolen) {
@@ -86,18 +86,18 @@ TEST(DarrRepository, ExpiredClaimIsStolen) {
   DarrRepository::Config cfg;
   cfg.claim_ttl_ms = 20;
   DarrRepository repo(cfg);
-  EXPECT_TRUE(repo.try_claim("k", "dead_client"));
-  EXPECT_FALSE(repo.try_claim("k", "bob"));
+  EXPECT_TRUE(repo.claim("k", "dead_client"));
+  EXPECT_FALSE(repo.claim("k", "bob"));
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  EXPECT_TRUE(repo.try_claim("k", "bob"));  // stolen after TTL
+  EXPECT_TRUE(repo.claim("k", "bob"));  // stolen after TTL
   EXPECT_GE(repo.counters().claims_expired, 1u);
 }
 
 TEST(DarrRepository, PrefixListing) {
   DarrRepository repo;
-  repo.store(sample_record("fpA|spec1"));
-  repo.store(sample_record("fpA|spec2"));
-  repo.store(sample_record("fpB|spec1"));
+  repo.put(sample_record("fpA|spec1"));
+  repo.put(sample_record("fpA|spec2"));
+  repo.put(sample_record("fpB|spec1"));
   const auto keys = repo.keys_with_prefix("fpA|");
   EXPECT_EQ(keys.size(), 2u);
   EXPECT_EQ(repo.keys_with_prefix("fpC").size(), 0u);
@@ -111,9 +111,9 @@ TEST(DarrRepository, RecordsByProducer) {
   r2.producer = "bob";
   auto r3 = sample_record("k3");
   r3.producer = "alice";
-  repo.store(r1);
-  repo.store(r2);
-  repo.store(r3);
+  repo.put(r1);
+  repo.put(r2);
+  repo.put(r3);
   EXPECT_EQ(repo.records_by("alice"), 2u);
   EXPECT_EQ(repo.records_by("bob"), 1u);
   EXPECT_EQ(repo.records_by("carol"), 0u);
@@ -122,7 +122,7 @@ TEST(DarrRepository, RecordsByProducer) {
 TEST(DarrRepository, EmptyKeyRejected) {
   DarrRepository repo;
   DarrRecord r;
-  EXPECT_THROW(repo.store(r), InvalidArgument);
+  EXPECT_THROW(repo.put(r), InvalidArgument);
 }
 
 // A client of the paper's one shared repository: a single-shard,

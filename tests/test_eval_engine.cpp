@@ -537,8 +537,11 @@ TEST(EvalEngine, RegistersMetricFamiliesOnConstruction) {
   EXPECT_TRUE(has("eval.prefix_cache.miss"));
   EXPECT_TRUE(has("eval.prefix_cache.evicted"));
   EXPECT_TRUE(has("eval.claim.requeued"));
-  EXPECT_TRUE(has("darr.lookup.hit"));
-  EXPECT_TRUE(has("darr.lookup.miss"));
+  EXPECT_TRUE(has("eval.candidate.local"));
+  EXPECT_TRUE(has("eval.candidate.cached"));
+  // Lookups are counted once, by the ResultCache (darr.client.*).
+  EXPECT_FALSE(has("darr.lookup.hit"));
+  EXPECT_FALSE(has("darr.lookup.miss"));
 }
 
 }  // namespace

@@ -139,7 +139,8 @@ TEST(GraphEvaluator, CacheServesSecondRun) {
   EvalOptions config;
   config.cache = &cache;
   GraphEvaluator evaluator(config);
-  const std::uint64_t hits_before = obs::counter("darr.lookup.hit").value();
+  auto& cached = obs::counter("eval.candidate.cached");
+  const std::uint64_t cached_before = cached.value();
   const auto first = evaluator.evaluate(g, d, KFold(5));
   EXPECT_EQ(first.evaluated_locally, 4u);
   const auto second = evaluator.evaluate(g, d, KFold(5));
@@ -147,8 +148,9 @@ TEST(GraphEvaluator, CacheServesSecondRun) {
   EXPECT_EQ(second.evaluated_locally, 0u);
   EXPECT_EQ(second.best().spec, first.best().spec);
   EXPECT_DOUBLE_EQ(second.best().mean_score, first.best().mean_score);
-  // The cached re-run must show up in the registry as cooperative hits.
-  EXPECT_GT(obs::counter("darr.lookup.hit").value(), hits_before);
+  // The cached re-run must show up in the registry as cache-served
+  // candidates.
+  EXPECT_EQ(cached.value() - cached_before, 4u);
   // Cache-served candidates report near-zero eval time (satellite fix:
   // eval_seconds no longer includes the full first-run wall time).
   for (const auto& r : second.results) {

@@ -66,14 +66,14 @@ TEST(Integration, DarrRepositoryConcurrencyStress) {
       const std::string me = "client" + std::to_string(t);
       for (std::size_t k = 0; k < kKeys; ++k) {
         const std::string key = "key" + std::to_string(k);
-        if (repo.lookup(key)) continue;
-        if (!repo.try_claim(key, me)) continue;
+        if (repo.fetch(key)) continue;
+        if (!repo.claim(key, me)) continue;
         darr::DarrRecord record;
         record.key = key;
         record.mean_score = static_cast<double>(k);
         record.producer = me;
         record.explanation = "spec" + std::to_string(k);
-        repo.store(std::move(record));
+        repo.put(std::move(record));
         ++computed;
       }
     });
@@ -86,7 +86,7 @@ TEST(Integration, DarrRepositoryConcurrencyStress) {
   EXPECT_EQ(repo.counters().stores, computed.load());
   EXPECT_EQ(computed.load(), kKeys);
   for (std::size_t k = 0; k < kKeys; ++k) {
-    const auto record = repo.lookup("key" + std::to_string(k));
+    const auto record = repo.fetch("key" + std::to_string(k));
     ASSERT_TRUE(record.has_value());
     EXPECT_DOUBLE_EQ(record->mean_score, static_cast<double>(k));
     EXPECT_EQ(record->explanation, "spec" + std::to_string(k));
@@ -127,7 +127,7 @@ TEST(Integration, DarrPrefixDiscoveryAcrossClients) {
   const auto keys = repo.keys_with_prefix(prefix);
   EXPECT_EQ(keys.size(), 2u);
   for (const auto& key : keys) {
-    const auto record = repo.lookup(key);
+    const auto record = repo.fetch(key);
     ASSERT_TRUE(record.has_value());
     EXPECT_EQ(record->producer, "alice");
     EXPECT_FALSE(record->explanation.empty());  // how it was achieved

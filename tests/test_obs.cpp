@@ -43,6 +43,34 @@ TEST(Counter, RegistrationIsIdempotent) {
   EXPECT_EQ(a.value(), 5u);
 }
 
+TEST(FactCounter, OneIncMovesOwnGlobalAndShardAlike) {
+  auto& node = obs::MetricScope::for_node("fact-node");
+  auto& global = obs::counter("test.fact.count");
+  auto& shard = node.counter("test.fact.count");
+  const std::uint64_t global_before = global.value();
+  const std::uint64_t shard_before = shard.value();
+  // Two instances on one node: one family, separate own counts.
+  obs::FactCounter a(node, "test.fact.count");
+  obs::FactCounter b(node, "test.fact.count");
+  a.inc(3);
+  b.inc();
+  EXPECT_EQ(a.value(), 3u);
+  EXPECT_EQ(b.value(), 1u);
+  EXPECT_EQ(global.value() - global_before, 4u);
+  EXPECT_EQ(shard.value() - shard_before, 4u);
+  // reset() zeroes the own count only.
+  a.reset();
+  EXPECT_EQ(a.value(), 0u);
+  EXPECT_EQ(global.value() - global_before, 4u);
+  // A node-less fact moves its own count and the family.
+  auto& fabric = obs::counter("test.fact.fabric");
+  const std::uint64_t fabric_before = fabric.value();
+  obs::FactCounter c("test.fact.fabric");
+  c.inc(2);
+  EXPECT_EQ(c.value(), 2u);
+  EXPECT_EQ(fabric.value() - fabric_before, 2u);
+}
+
 TEST(Gauge, SetAddAndConcurrentAdd) {
   auto& g = gauge("test.obs.gauge");
   g.set(1.5);

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/kernels.h"
 #include "src/darr/cooperative.h"
 #include "src/data/synthetic.h"
 #include "src/ml/decision_tree.h"
@@ -264,6 +266,32 @@ TEST(Profiler, SerialFleetHotPathTableReproduces) {
     if (region == "eval.candidate") saw_candidate = true;
   }
   EXPECT_TRUE(saw_candidate);
+}
+
+// The coda_top GEMM rate divides the flops of the timed calls by their
+// seconds: GEMMs below the timing threshold count in kernel.gemm.flops but
+// in neither side of the rate.
+TEST(Profiler, GemmRateUsesTimedFlopsOverTimedSeconds) {
+  obs::reset_all();
+  Matrix small(16, 16);
+  Matrix big(96, 96);
+  small.fill(1.0);
+  big.fill(1.0);
+  for (int i = 0; i < 50; ++i) (void)kernels::matmul(small, small);
+  for (int i = 0; i < 3; ++i) (void)kernels::matmul(big, big);
+  const std::uint64_t big_flops = 3ull * 2 * 96 * 96 * 96;
+  const std::uint64_t timed = obs::counter("kernel.gemm.timed_flops").value();
+  EXPECT_EQ(timed, big_flops);
+  EXPECT_EQ(obs::counter("kernel.gemm.flops").value(),
+            big_flops + 50ull * 2 * 16 * 16 * 16);
+  const double seconds = obs::histogram("kernel.gemm.seconds").sum();
+  ASSERT_GT(seconds, 0.0);
+  char expected[96];
+  std::snprintf(expected, sizeof(expected), "kernel.gemm: %.2f GF/s (%llu ",
+                static_cast<double>(timed) / seconds * 1e-9,
+                static_cast<unsigned long long>(timed));
+  const std::string report = obs::prof::report();
+  EXPECT_NE(report.find(expected), std::string::npos) << report;
 }
 
 TEST(Profiler, ResetLeavesProfilerEmpty) {

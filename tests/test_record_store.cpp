@@ -1,7 +1,7 @@
 // Tests for the RecordStore surface (DESIGN.md §13): the hash ring, the
 // sharded cluster's routing/replication/failover, RecordStore
-// substitutability (repository, sharded service at one and four shards,
-// and a test fake all behind one interface), and the DarrClient behaviours
+// substitutability (the sharded service at one and four shards and a test
+// fake behind one interface), and the DarrClient behaviours
 // that ride on it — claim tracking across lost responses and
 // abandon_all()'s heal-and-release retry passes.
 #include <gtest/gtest.h>
@@ -145,11 +145,6 @@ void exercise_protocol(RecordStore& store) {
   EXPECT_TRUE(store.claim("k2", "client1", wire));
 }
 
-TEST(RecordStore, RepositoryImplementsTheContract) {
-  DarrRepository repo;
-  exercise_protocol(repo);
-}
-
 TEST(RecordStore, FakeImplementsTheContract) {
   FakeRecordStore fake;
   exercise_protocol(fake);
@@ -167,6 +162,21 @@ TEST_P(ShardedServiceContract, ImplementsTheContract) {
                              .replication = GetParam().second});
   ShardedDarrService service(&cluster, net.add_node("client"));
   exercise_protocol(service);
+  // Every owner shard holds the state the protocol left, and its
+  // repository speaks the same fetch/claim/put/release verbs (with one
+  // shard, that repository is the paper's single DARR).
+  for (const std::size_t shard : cluster.owners("k")) {
+    EXPECT_TRUE(cluster.shard(shard).fetch("k").has_value());
+    EXPECT_FALSE(cluster.shard(shard).claim("k", "client2"));
+  }
+  for (const std::size_t shard : cluster.owners("k2")) {
+    DarrRepository& repo = cluster.shard(shard);
+    EXPECT_FALSE(repo.claim("k2", "client2"));  // client1's replicated lease
+    repo.release("k2", "client1");
+    EXPECT_TRUE(repo.claim("k2", "client2"));
+    repo.put(sample_record("k2"));
+    EXPECT_TRUE(repo.fetch("k2").has_value());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -212,18 +222,18 @@ TEST(ShardedDarr, ReplicatesRecordsAndLeasesToEveryOwner) {
   // The lease lives on both owners (claim replication): a second client
   // is denied regardless of which owner serves it.
   for (const std::size_t shard : owners) {
-    EXPECT_FALSE(cluster.shard(shard).try_claim("k", "client1"))
+    EXPECT_FALSE(cluster.shard(shard).claim("k", "client1"))
         << "shard" << shard;
   }
   service.put(sample_record("k"), wire);
   for (const std::size_t shard : owners) {
-    EXPECT_TRUE(cluster.shard(shard).lookup("k").has_value())
+    EXPECT_TRUE(cluster.shard(shard).fetch("k").has_value())
         << "shard" << shard;
   }
   // Non-owners never see the key.
   for (std::size_t shard = 0; shard < cluster.n_shards(); ++shard) {
     if (std::find(owners.begin(), owners.end(), shard) == owners.end()) {
-      EXPECT_FALSE(cluster.shard(shard).lookup("k").has_value())
+      EXPECT_FALSE(cluster.shard(shard).fetch("k").has_value())
           << "shard" << shard;
     }
   }
@@ -278,12 +288,12 @@ TEST(ShardedDarr, CrashedPrimaryFailsOverToReplica) {
   ASSERT_TRUE(service.claim("k", "client0", wire));
   // Served by the surviving replica, which now defends the lease; the
   // sync back to the crashed primary is counted as failed, not hung.
-  EXPECT_FALSE(cluster.shard(owners[1]).try_claim("k", "probe"));
+  EXPECT_FALSE(cluster.shard(owners[1]).claim("k", "probe"));
   Wire peer_wire;
   EXPECT_FALSE(service.claim("k", "peer", peer_wire));
   service.put(sample_record("k"), wire);
-  EXPECT_TRUE(cluster.shard(owners[1]).lookup("k").has_value());
-  EXPECT_FALSE(cluster.shard(owners[0]).lookup("k").has_value());
+  EXPECT_TRUE(cluster.shard(owners[1]).fetch("k").has_value());
+  EXPECT_FALSE(cluster.shard(owners[0]).fetch("k").has_value());
   EXPECT_TRUE(service.fetch("k", wire).has_value());
   EXPECT_GE(cluster.sync_stats().failed_syncs, 2u);  // lease + record
 }
@@ -343,8 +353,8 @@ TEST(DarrClient, AbandonAllReleasesClaimsOnceThePartitionHeals) {
   EXPECT_TRUE(client.held_claims().empty());
   // Both keys are free again: a peer can claim them immediately instead
   // of waiting out the TTL.
-  EXPECT_TRUE(repo.try_claim("k1", "peer"));
-  EXPECT_TRUE(repo.try_claim("k2", "peer"));
+  EXPECT_TRUE(repo.claim("k1", "peer"));
+  EXPECT_TRUE(repo.claim("k2", "peer"));
 }
 
 TEST(DarrClient, AbandonAllKeepsUnreachableClaimsTracked) {

@@ -2,9 +2,9 @@
 // search must yield one connected span tree per requesting client — client
 // compute, darr client ops, repository work, and every network transfer
 // (including retries across a healed partition) all reachable from that
-// client's "evaluator.evaluate" root span — and the Chrome trace-event
-// export of such a run must be valid JSON with one process per simulated
-// node.
+// client's "eval.run" root span — and the Chrome trace-event export of
+// such a run must be valid JSON with one process per simulated node. A
+// span and the profiler region of the same scope carry one name.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -100,7 +100,7 @@ TEST(Trace, CooperativeSearchYieldsOneConnectedTreePerTrace) {
       if (s.parent_id != 0) continue;
       EXPECT_EQ(root_id, 0u) << "second root: " << s.name;
       root_id = id;
-      EXPECT_EQ(s.name, "evaluator.evaluate");
+      EXPECT_EQ(s.name, "eval.run");
     }
     ASSERT_NE(root_id, 0u);
     ++evaluate_roots;
@@ -140,6 +140,58 @@ TEST(Trace, CooperativeSearchYieldsOneConnectedTreePerTrace) {
   for (const auto& [trace_id, trace] : traces) {
     EXPECT_TRUE(anchors.count(trace_id))
         << "trace " << trace_id << " has no clock anchor";
+  }
+}
+
+// One name per scope: a span and the profiler region its scope opens
+// share a name, and the retired spellings (`evaluator.*`, `darr.lookup*`)
+// appear neither as spans nor as registered metrics.
+TEST(Trace, SpansShareTheirProfilerRegionNames) {
+  obs::reset_all();
+  (void)darr::run_cooperative_search(graph(), dataset(), KFold(3),
+                                     Metric::kRmse, 2);
+  std::set<std::string> spans;
+  for (const auto& s : obs::Tracer::instance().snapshot()) {
+    spans.insert(s.name);
+  }
+  std::set<std::string> regions;
+  for (const auto& r : obs::prof::region_table()) regions.insert(r.name);
+  const auto starts = [](const std::string& name, const char* prefix) {
+    return name.rfind(prefix, 0) == 0;
+  };
+  const auto retired = [&starts](const std::string& name) {
+    return starts(name, "evaluator.") ||
+           name.find("darr.lookup") != std::string::npos;
+  };
+
+  // Every DARR client op and the engine's run / candidate / fold scopes
+  // open a span under their region's name...
+  for (const std::string& region : regions) {
+    if (starts(region, "darr.client.")) {
+      EXPECT_TRUE(spans.count(region)) << "region without span: " << region;
+    }
+  }
+  for (const char* scope : {"eval.run", "eval.candidate", "eval.fold"}) {
+    EXPECT_TRUE(regions.count(scope)) << scope;
+    EXPECT_TRUE(spans.count(scope)) << scope;
+  }
+  // ...and no span of those families carries a name of its own.
+  for (const std::string& span : spans) {
+    if (starts(span, "darr.client.") || starts(span, "eval.")) {
+      EXPECT_TRUE(regions.count(span)) << "span without region: " << span;
+    }
+    EXPECT_FALSE(retired(span)) << "retired span name: " << span;
+  }
+
+  const auto& registry = obs::MetricsRegistry::instance();
+  for (const auto& [name, value] : registry.counter_values()) {
+    EXPECT_FALSE(retired(name)) << "retired counter: " << name;
+  }
+  for (const auto& [name, value] : registry.gauge_values()) {
+    EXPECT_FALSE(retired(name)) << "retired gauge: " << name;
+  }
+  for (const auto& [name, histogram] : registry.histogram_views()) {
+    EXPECT_FALSE(retired(name)) << "retired histogram: " << name;
   }
 }
 

@@ -160,10 +160,8 @@ void print_fig2() {
   dist::SimNet net;
   darr::DarrCluster repo(
       &net, {.n_shards = 1, .replication = 1, .claim_ttl_ms = 30});
-  darr::ShardedDarrService dead_service(&repo, net.add_node("dead"));
-  darr::ShardedDarrService live_service(&repo, net.add_node("live"));
-  darr::DarrClient dead(&dead_service, "dead");
-  darr::DarrClient live(&live_service, "live");
+  darr::DarrClient dead(&repo, net.add_node("dead"));
+  darr::DarrClient live(&repo, net.add_node("live"));
   dead.claim("candidate_x");  // crashes here, never stores
   std::size_t retries = 0;
   while (!live.claim("candidate_x")) {
@@ -184,8 +182,7 @@ void print_fig2() {
 void BM_DarrLookupStore(benchmark::State& state) {
   dist::SimNet net;
   darr::DarrCluster repo(&net, {.n_shards = 1, .replication = 1});
-  darr::ShardedDarrService service(&repo, net.add_node("c"));
-  darr::DarrClient client(&service, "c");
+  darr::DarrClient client(&repo, net.add_node("c"));
   CachedResult result;
   result.fold_scores = {0.1, 0.2, 0.3, 0.4, 0.5};
   result.explanation = "standardscaler -> randomforest";
@@ -201,8 +198,7 @@ BENCHMARK(BM_DarrLookupStore);
 void BM_DarrClaim(benchmark::State& state) {
   dist::SimNet net;
   darr::DarrCluster repo(&net, {.n_shards = 1, .replication = 1});
-  darr::ShardedDarrService service(&repo, net.add_node("c"));
-  darr::DarrClient client(&service, "c");
+  darr::DarrClient client(&repo, net.add_node("c"));
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.claim("k" + std::to_string(i++)));

@@ -255,8 +255,7 @@ void BM_ShardedClaimPutFetch(benchmark::State& state) {
   config.replication = 2;
   darr::DarrCluster cluster(&net, config);
   const auto self = net.add_node("c");
-  darr::ShardedDarrService service(&cluster, self);
-  darr::DarrClient client(&service, "c");
+  darr::DarrClient client(&cluster, self);
   CachedResult result;
   result.fold_scores = {0.1, 0.2, 0.3};
   result.explanation = "standardscaler -> linearregression";

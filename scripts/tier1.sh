@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate (ROADMAP.md): plain build + full test suite, every
-# tsan-labelled suite again under thread sanitizer, every test_* suite
-# under address+undefined-behaviour sanitizers, and the bench regression
-# gate. A chaos failure prints the fault schedule (seed, drop
-# rate, partition/crash windows) to replay.
+# Tier-1 gate (ROADMAP.md): plain build + full test suite, the kernel and
+# NN suites in a -march=native build, every tsan-labelled suite again
+# under thread sanitizer, every test_* suite under
+# address+undefined-behaviour sanitizers, and the bench regression gate.
+# A chaos failure prints the fault schedule (seed, drop rate,
+# partition/crash windows) to replay.
 #
 #   scripts/tier1.sh                      # gate against committed baselines
 #   scripts/tier1.sh --update-baselines   # re-baseline after an intentional
@@ -35,6 +36,14 @@ scripts/trace_check.sh build
 
 echo "== tier 1: folded-profile export + reset contract =="
 scripts/profile_check.sh build
+
+# The kernels compiled with -march=native must stay bit-identical to the
+# reference: the kernel and NN suites again, in a -DCODA_NATIVE_ARCH=ON
+# build that builds only them.
+echo "== tier 1: kernel + NN suites with -DCODA_NATIVE_ARCH=ON =="
+cmake -B build-native -S . -DCODA_NATIVE_ARCH=ON >/dev/null
+cmake --build build-native -j"$(nproc)" --target test_kernels test_nn
+ctest --test-dir build-native -R '^test_(kernels|nn)$' --output-on-failure
 
 # Every suite labelled `tsan` in tests/CMakeLists.txt (the chaos, executor,
 # plan-differential, profiler, fleet, telemetry and trace suites, among

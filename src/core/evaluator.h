@@ -36,9 +36,9 @@ struct CachedResult {
 };
 
 /// Cache/claim interface the evaluation engine uses to cooperate with other
-/// clients (Section III, Fig 2). Implemented by darr::DarrClient (over any
-/// darr::RecordStore topology — one repository node or a sharded cluster)
-/// and by the process-local LocalResultCache.
+/// clients (Section III, Fig 2). Implemented by darr::DarrClient (one
+/// client node's connection to a DARR cluster — one repository node or a
+/// sharded tier) and by the process-local LocalResultCache.
 ///
 /// This is THE claim/abandon contract (the engine's CooperativeFetch is
 /// the single call site, so implementations only need to honour exactly
@@ -188,7 +188,6 @@ struct EvalOptions {
   Metric metric = Metric::kRmse;
   std::size_t threads = 0;        ///< 0 = hardware concurrency
   ResultCache* cache = nullptr;   ///< optional cooperation hook
-  int claim_poll_ms = 5;          ///< re-queue interval while a peer works
   int claim_wait_ms = 2000;       ///< max wait before computing locally
   /// Byte budget of the engine's shared-prefix memo (fitted transformer
   /// prefixes / windowed views reused across candidates within one run).

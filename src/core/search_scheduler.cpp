@@ -23,6 +23,9 @@ namespace coda {
 
 namespace {
 
+/// Re-queue interval of a claim-blocked unit while a peer computes it.
+constexpr std::chrono::milliseconds kClaimPoll{5};
+
 /// SplitMix64 step — the same generator family Rng seeds with; inlined
 /// here so the tournament permutation is a pure function of the seed with
 /// no dependence on library distribution internals.
@@ -491,8 +494,7 @@ class PlanRun {
       c.deadline = now + std::chrono::milliseconds(options_.claim_wait_ms);
     }
     obs::count_scoped("eval.claim.requeued");
-    wheel_->schedule(std::chrono::milliseconds(options_.claim_poll_ms),
-                     [this, i] { submit_attempt(i); });
+    wheel_->schedule(kClaimPoll, [this, i] { submit_attempt(i); });
     return true;
   }
 

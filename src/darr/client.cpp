@@ -1,7 +1,9 @@
 #include "src/darr/client.h"
 
-#include <atomic>
+#include <map>
 
+#include "src/dist/replication.h"
+#include "src/dist/retry.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
@@ -9,6 +11,14 @@
 namespace coda::darr {
 
 namespace {
+
+/// Request framing: a key plus a fixed 16-byte message envelope (also the
+/// size of an empty response).
+constexpr std::size_t kMessageOverhead = 16;
+
+std::size_t key_request_size(const std::string& key) {
+  return key.size() + kMessageOverhead;
+}
 
 CachedResult to_cached(const DarrRecord& record) {
   CachedResult result;
@@ -19,22 +29,31 @@ CachedResult to_cached(const DarrRecord& record) {
   return result;
 }
 
+const std::string& client_node_name(DarrCluster* cluster,
+                                    dist::NodeId self) {
+  require(cluster != nullptr, "DarrClient: null cluster");
+  for (std::size_t s = 0; s < cluster->n_shards(); ++s) {
+    require(self != cluster->node(s),
+            "DarrClient: client and shard must be distinct nodes");
+  }
+  return cluster->net().node_name(self);
+}
+
 }  // namespace
 
-DarrClient::DarrClient(RecordStore* store, std::string client_name,
+DarrClient::DarrClient(DarrCluster* cluster, dist::NodeId self,
                        RetryPolicy retry)
-    : store_(store),
-      name_(std::move(client_name)),
+    : cluster_(cluster),
+      self_(self),
+      name_(client_node_name(cluster, self)),
       retry_(retry),
-      // MetricScope::for_node rejects an empty name.
       facts_{obs::MetricScope::for_node(name_)} {
-  require(store != nullptr, "DarrClient: null record store");
   retry_.validate();
 }
 
-void DarrClient::count_traffic(const Wire& wire) {
-  facts_.bytes_sent.inc(wire.bytes_sent);
-  facts_.bytes_received.inc(wire.bytes_received);
+void DarrClient::count_traffic(std::size_t sent, std::size_t received) {
+  facts_.bytes_sent.inc(sent);
+  facts_.bytes_received.inc(received);
 }
 
 void DarrClient::track_claim(const std::string& key) {
@@ -47,16 +66,110 @@ void DarrClient::untrack_claim(const std::string& key) {
   held_claims_.erase(key);
 }
 
+std::size_t DarrClient::serving_shard(const std::string& key) const {
+  const auto owners = cluster_->owners(key);
+  for (const std::size_t shard : owners) {
+    if (cluster_->net().node_up(cluster_->node(shard))) return shard;
+  }
+  return owners.front();
+}
+
+template <typename ApplyFn, typename ReplicateFn>
+bool DarrClient::write(const char* op, const std::string& key,
+                       std::size_t request, ApplyFn apply,
+                       ReplicateFn replicate) {
+  dist::SimNet& net = cluster_->net();
+  const std::string net_op = std::string("darr.") + op;
+  const auto owners = cluster_->owners(key);
+  for (const std::size_t shard : owners) {
+    const dist::NodeId node = cluster_->node(shard);
+    if (!net.node_up(node)) continue;
+    bool applied = false;
+    try {
+      dist::transfer_with_retry(net, self_, node, request, retry_, net_op);
+      {
+        obs::ScopedSpan repo_span(std::string("darr.repo.") + op);
+        repo_span.set_node(net.node_name(node));
+        applied = apply(cluster_->shard(shard), repo_span);
+      }
+      if (applied) {
+        // Replicate the change so ownership migrates if this owner crashes:
+        // any surviving owner then serves (and defends) it in place.
+        const std::string sync_op = std::string("darr.sync.") + op;
+        for (const std::size_t other : owners) {
+          if (other == shard) continue;
+          if (!dist::sync_replica(net, node, cluster_->node(other), request,
+                                  cluster_->sync_retry(), sync_op, key)) {
+            cluster_->count_failed_sync();
+            continue;
+          }
+          replicate(cluster_->shard(other));
+          cluster_->count_replica_sync(request);
+        }
+      }
+      dist::transfer_with_retry(net, node, self_, kMessageOverhead, retry_,
+                                net_op);
+    } catch (const NetworkError&) {
+      if (applied) throw;  // only the response leg was lost
+      continue;
+    }
+    count_traffic(request, kMessageOverhead);
+    return applied;
+  }
+  throw NetworkError(std::string("darr.shard.") + op +
+                     ": no reachable owner for " + key);
+}
+
 std::optional<CachedResult> DarrClient::fetch(const std::string& key) {
   PROF_SCOPE("darr.client.fetch");
   obs::ScopedSpan op_span("darr.client.fetch");
-  Wire wire;
-  const auto record = store_->fetch(key, wire);
+  dist::SimNet& net = cluster_->net();
+  const std::size_t request = key_request_size(key);
+  std::size_t sent = 0;
+  std::size_t received = 0;
+  bool failover = false;  // true once any owner was skipped or unreachable
+  bool reached = false;
+  std::optional<DarrRecord> found;
+  for (const std::size_t shard : cluster_->owners(key)) {
+    const dist::NodeId node = cluster_->node(shard);
+    if (!net.node_up(node)) {
+      failover = true;
+      continue;
+    }
+    try {
+      dist::transfer_with_retry(net, self_, node, request, retry_,
+                                "darr.fetch");
+      std::optional<DarrRecord> record;
+      {
+        obs::ScopedSpan repo_span("darr.repo.fetch");
+        repo_span.set_node(net.node_name(node));
+        record = cluster_->shard(shard).fetch(key);
+      }
+      const std::size_t response =
+          record ? record->wire_size() : kMessageOverhead;
+      dist::transfer_with_retry(net, node, self_, response, retry_,
+                                "darr.fetch");
+      sent += request;
+      received += response;
+      found = std::move(record);
+    } catch (const NetworkError&) {
+      failover = true;
+      continue;
+    }
+    reached = true;
+    // A miss on the serving owner is authoritative; a miss AFTER a
+    // failover may just be a replica that lost a sync — ask the next
+    // owner before reporting the record absent.
+    if (found || !failover) break;
+  }
+  if (!reached) {
+    throw NetworkError("darr.shard.fetch: no reachable owner for " + key);
+  }
   facts_.lookups.inc();
-  if (record) facts_.hits.inc();
-  count_traffic(wire);
-  if (!record) return std::nullopt;
-  return to_cached(*record);
+  if (found) facts_.hits.inc();
+  count_traffic(sent, received);
+  if (!found) return std::nullopt;
+  return to_cached(*found);
 }
 
 std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
@@ -65,45 +178,81 @@ std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
   PROF_SCOPE("darr.client.fetch_many");
   obs::ScopedSpan op_span("darr.client.fetch_many");
   op_span.tag("keys", std::to_string(keys.size()));
-  Wire wire;
-  const auto records = store_->fetch_many(keys, wire);
-  std::vector<std::optional<CachedResult>> out;
-  out.reserve(records.size());
+  dist::SimNet& net = cluster_->net();
+  std::vector<std::optional<CachedResult>> out(keys.size());
+  // Group keys by serving shard: the sweep costs one round-trip per shard
+  // that owns part of the candidate space (deterministic shard order).
+  std::map<std::size_t, std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    groups[serving_shard(keys[i])].push_back(i);
+  }
+  std::size_t sent = 0;
+  std::size_t received = 0;
   std::size_t found = 0;
-  for (const auto& record : records) {
-    if (record) {
-      ++found;
-      out.push_back(to_cached(*record));
-    } else {
-      out.push_back(std::nullopt);
+  std::size_t unreachable_groups = 0;
+  for (const auto& [shard, indices] : groups) {
+    const dist::NodeId node = cluster_->node(shard);
+    std::size_t request = 0;
+    for (const std::size_t i : indices) request += key_request_size(keys[i]);
+    std::vector<std::optional<DarrRecord>> records;
+    records.reserve(indices.size());
+    try {
+      dist::transfer_with_retry(net, self_, node, request, retry_,
+                                "darr.fetch_many");
+      std::size_t response = 0;
+      {
+        obs::ScopedSpan repo_span("darr.repo.fetch_many");
+        repo_span.set_node(net.node_name(node));
+        for (const std::size_t i : indices) {
+          records.push_back(cluster_->shard(shard).fetch(keys[i]));
+          response +=
+              records.back() ? records.back()->wire_size() : kMessageOverhead;
+        }
+      }
+      dist::transfer_with_retry(net, node, self_, response, retry_,
+                                "darr.fetch_many");
+      sent += request;
+      received += response;
+    } catch (const NetworkError&) {
+      // This shard's keys stay misses; the sweep keeps cooperating on the
+      // shards that answered.
+      ++unreachable_groups;
+      continue;
     }
+    for (std::size_t j = 0; j < indices.size(); ++j) {
+      if (!records[j]) continue;
+      ++found;
+      out[indices[j]] = to_cached(*records[j]);
+    }
+  }
+  if (unreachable_groups == groups.size()) {
+    throw NetworkError("darr.shard.fetch_many: every shard unreachable");
   }
   facts_.lookups.inc(keys.size());
   facts_.hits.inc(found);
-  count_traffic(wire);
+  count_traffic(sent, received);
   return out;
 }
 
 bool DarrClient::claim(const std::string& key) {
   PROF_SCOPE("darr.client.claim");
   obs::ScopedSpan op_span("darr.client.claim");
-  Wire wire;
-  bool granted = false;
-  try {
-    granted = store_->claim(key, name_, wire);
-  } catch (...) {
-    // The grant may have been applied store-side before the response leg
-    // was lost: track it, or abandon_all() could never release the lease.
-    if (wire.applied) track_claim(key);
-    throw;
-  }
+  const bool granted = write(
+      "claim", key, key_request_size(key) + name_.size(),
+      [&](DarrRepository& repo, obs::ScopedSpan& repo_span) {
+        const bool granted = repo.claim(key, name_);
+        repo_span.tag("granted", granted ? "1" : "0");
+        // Tracked before the response leg: if that leg is lost the op
+        // throws, and abandon_all() must still be able to free the lease.
+        if (granted) track_claim(key);
+        return granted;
+      },
+      [&](DarrRepository& replica) { replica.claim(key, name_); });
   if (granted) {
-    track_claim(key);
     facts_.claims_won.inc();
   } else {
     facts_.claims_lost.inc();
   }
-  count_traffic(wire);
   return granted;
 }
 
@@ -117,31 +266,30 @@ void DarrClient::put(const std::string& key, const CachedResult& result) {
   record.producer = name_;
   PROF_SCOPE("darr.client.put");
   obs::ScopedSpan op_span("darr.client.put");
-  Wire wire;
-  try {
-    store_->put(std::move(record), wire);
-  } catch (...) {
-    // Storing released the claim store-side even if the response was lost.
-    if (wire.applied) untrack_claim(key);
-    throw;
-  }
-  untrack_claim(key);
+  write(
+      "put", key, record.wire_size(),
+      [&](DarrRepository& repo, obs::ScopedSpan&) {
+        repo.put(record, cluster_->net().now());
+        untrack_claim(key);  // storing released the claim
+        return true;
+      },
+      [&](DarrRepository& replica) {
+        replica.put(record, cluster_->net().now());
+      });
   facts_.stores.inc();
-  count_traffic(wire);
 }
 
 void DarrClient::release(const std::string& key) {
   PROF_SCOPE("darr.client.release");
   obs::ScopedSpan op_span("darr.client.release");
-  Wire wire;
-  try {
-    store_->release(key, name_, wire);
-  } catch (...) {
-    if (wire.applied) untrack_claim(key);
-    throw;
-  }
-  untrack_claim(key);
-  count_traffic(wire);
+  write(
+      "release", key, key_request_size(key) + name_.size(),
+      [&](DarrRepository& repo, obs::ScopedSpan&) {
+        repo.release(key, name_);
+        untrack_claim(key);
+        return true;
+      },
+      [&](DarrRepository& replica) { replica.release(key, name_); });
 }
 
 void DarrClient::abandon_all() {
@@ -156,7 +304,7 @@ void DarrClient::abandon_all() {
         abandoned.inc();
       } catch (const NetworkError&) {
         // Release RPC exhausted its transfer budget. Two distinct cases:
-        // the store may still have applied the release before the
+        // the shard may still have applied the release before the
         // response leg died — release() untracks the key in that case,
         // and the claim IS freed, so it must be counted exactly once
         // here (the next pass will not see it again). Otherwise the key

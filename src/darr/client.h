@@ -1,8 +1,11 @@
-// DARR client: adapts a RecordStore — a sharded cluster (one shard for the
-// paper's single repository) or a test fake — to the core ResultCache
-// interface so a GraphEvaluator cooperates transparently (Fig 2), with
-// every repository interaction accounted as simulated network traffic
-// through the store's Wire reporting.
+// DARR client (DESIGN.md §13): one client node's connection to the shared
+// repository tier (Fig 2). A DarrClient is the core ResultCache a
+// GraphEvaluator cooperates through; behind it, every operation routes on
+// the DarrCluster's hash ring to the key's first live owner (primary
+// unless crashed or unreachable — that is the failover), applies there,
+// replicates the state change to the remaining owners, and is accounted
+// as simulated network traffic. A single-shard cluster is the paper's one
+// repository.
 #pragma once
 
 #include <mutex>
@@ -10,13 +13,14 @@
 #include <string>
 
 #include "src/core/evaluator.h"
-#include "src/darr/record_store.h"
+#include "src/darr/sharded.h"
 #include "src/obs/metrics.h"
 #include "src/util/retry.h"
 
 namespace coda::darr {
 
-/// ResultCache implementation backed by any RecordStore topology.
+/// ResultCache implementation over a DarrCluster: one instance per client
+/// node.
 class DarrClient final : public ResultCache {
  public:
   /// Per-client traffic/behaviour snapshot: a point-in-time view of this
@@ -33,18 +37,20 @@ class DarrClient final : public ResultCache {
     bool operator==(const Stats&) const = default;
   };
 
-  /// Any RecordStore (ShardedDarrService, whose single-shard cluster is the
-  /// paper's one repository, or a test fake). `client_name` identifies this
-  /// client as a record producer and claim holder; `retry` paces
-  /// abandon_all()'s release passes. Store
-  /// operations that throw NetworkError (their own retry budget spent)
-  /// propagate to the evaluator's CooperativeFetch, which degrades to
-  /// local evaluation.
-  DarrClient(RecordStore* store, std::string client_name,
-             RetryPolicy retry = {});
+  /// `self` is the client's node; it must not be one of the shard nodes.
+  /// Its SimNet name identifies this client as a record producer and claim
+  /// holder. `retry` is the transfer budget of every operation and paces
+  /// abandon_all()'s release passes. Operations that throw NetworkError
+  /// (their retry budget spent on every owner) propagate to the
+  /// evaluator's CooperativeFetch, which degrades to local evaluation.
+  DarrClient(DarrCluster* cluster, dist::NodeId self, RetryPolicy retry = {});
 
   // ResultCache surface.
   std::optional<CachedResult> fetch(const std::string& key) override;
+  /// Grouped sweep: one round-trip per serving shard instead of one per
+  /// key. A shard unreachable past the retry budget reports its keys as
+  /// misses (cooperation continues on the live shards); NetworkError
+  /// propagates only when every shard was unreachable.
   std::vector<std::optional<CachedResult>> fetch_many(
       const std::vector<std::string>& keys) override;
   bool claim(const std::string& key) override;
@@ -84,12 +90,30 @@ class DarrClient final : public ResultCache {
     obs::FactCounter bytes_received{node, "darr.client.bytes_received"};
   };
 
-  void count_traffic(const Wire& wire);
+  /// Runs one state change (`op` = claim, put or release) on the first
+  /// live owner of `key`: the request leg, `apply` on that owner's
+  /// repository inside its `darr.repo.<op>` span, `replicate` on every
+  /// other owner when apply reports a change, and the response leg. An
+  /// owner lost before it applied anything is skipped for the next one;
+  /// once a change is applied, a lost response leg rethrows, because
+  /// failing over would apply it twice. Returns apply's result and counts
+  /// the answering owner's bytes.
+  template <typename ApplyFn, typename ReplicateFn>
+  bool write(const char* op, const std::string& key, std::size_t request,
+             ApplyFn apply, ReplicateFn replicate);
+
+  /// First owner of `key` that is outside a crash window (the serving
+  /// shard for grouped sweeps); falls back to the primary when every
+  /// owner is down.
+  std::size_t serving_shard(const std::string& key) const;
+
+  void count_traffic(std::size_t sent, std::size_t received);
   void track_claim(const std::string& key);
   void untrack_claim(const std::string& key);
   bool holds_claim(const std::string& key) const;
 
-  RecordStore* store_;
+  DarrCluster* cluster_;
+  dist::NodeId self_;
   std::string name_;
   RetryPolicy retry_;
   Facts facts_;

@@ -23,10 +23,9 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
   if (options.faults) net.set_faults(*options.faults);
 
   // Repository tier: a consistent-hash cluster of shard nodes (DESIGN.md
-  // §13); the clients only ever see a RecordStore.
+  // §13); each client reaches it through its own DarrClient.
   DarrCluster cluster(&net, {.n_shards = options.n_shards,
                              .replication = options.replication,
-                             .claim_ttl_ms = options.claim_ttl_ms,
                              .sync_retry = options.retry});
   const dist::NodeId telemetry_node = net.add_node("telemetry");
 
@@ -40,19 +39,14 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
     }
   }
 
-  std::vector<std::unique_ptr<ShardedDarrService>> services;
   std::vector<std::unique_ptr<DarrClient>> clients;
   std::vector<std::unique_ptr<dist::TelemetryReporter>> reporters;
-  services.reserve(n_clients);
   clients.reserve(n_clients);
   for (std::size_t i = 0; i < n_clients; ++i) {
     const std::string name = "client" + std::to_string(i);
     const dist::NodeId node = net.add_node(name);
-    services.push_back(
-        std::make_unique<ShardedDarrService>(&cluster, node, options.retry));
     clients.push_back(
-        std::make_unique<DarrClient>(services.back().get(), name,
-                                     options.retry));
+        std::make_unique<DarrClient>(&cluster, node, options.retry));
     if (collector) {
       // Each client ships its own MetricScope shard to the collector node.
       reporters.push_back(std::make_unique<dist::TelemetryReporter>(

@@ -78,7 +78,6 @@ struct FleetOptions {
   /// n_shards). The default single shard is the paper's one repository.
   std::size_t n_shards = 1;
   std::size_t replication = 2;
-  int claim_ttl_ms = 2000;
   /// Client sessions running concurrently; 0 = one thread per client
   /// (small fleets). Thousand-client fleets set a bounded worker pool; 1
   /// runs the sessions serially in client order, which makes the whole

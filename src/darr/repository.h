@@ -24,10 +24,10 @@
 namespace coda::darr {
 
 /// Thread-safe repository of analytics results with expiring claims: one
-/// shard of the DARR tier. It speaks the RecordStore vocabulary (fetch /
-/// claim / put / release) but is not itself a RecordStore: clients reach
-/// it through ShardedDarrService, which routes, replicates and accounts
-/// the traffic (DESIGN.md §13).
+/// shard of the DARR tier. It speaks the client's vocabulary (fetch /
+/// claim / put / release), but clients reach it only through their
+/// DarrClient, which routes, replicates and accounts the traffic
+/// (DESIGN.md §13).
 class DarrRepository {
  public:
   struct Config {

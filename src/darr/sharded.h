@@ -3,10 +3,10 @@
 // embeds the dataset fingerprint — GraphEvaluator::cache_key), each key
 // owned by a primary shard plus R-1 distinct replicas taken clockwise on
 // the ring. DarrCluster owns the server tier (nodes, per-shard
-// DarrRepository instances, the ring, sync accounting); ShardedDarrService
-// is the per-client RecordStore — a hash-ring router with failover that
-// serves every operation from the first live owner and synchronizes the
-// others through dist::sync_replica.
+// DarrRepository instances, the ring, sync accounting); each client node
+// reaches it through its own DarrClient (src/darr/client.h), which serves
+// every operation from the first live owner and synchronizes the others
+// through dist::sync_replica.
 //
 // Lease migration: claims and releases replicate to every owner like
 // records do, so when a shard node crashes the next owner already knows
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "src/darr/record_store.h"
 #include "src/darr/repository.h"
 #include "src/dist/sim_net.h"
 #include "src/util/retry.h"
@@ -106,7 +105,7 @@ class DarrCluster {
 
   const RetryPolicy& sync_retry() const { return config_.sync_retry; }
 
-  /// Sync-accounting hooks used by ShardedDarrService.
+  /// Sync-accounting hooks used by DarrClient.
   void count_replica_sync(std::size_t bytes);
   void count_failed_sync();
 
@@ -118,49 +117,6 @@ class DarrCluster {
   std::vector<std::unique_ptr<DarrRepository>> shards_;
   mutable std::mutex sync_mutex_;
   SyncStats sync_stats_;
-};
-
-/// The client-side RecordStore over a DarrCluster: one instance per client
-/// node. Every operation routes to the key's first live owner (primary
-/// unless crashed/unreachable — that is the failover), applies there, and
-/// replicates the state change to the remaining owners.
-class ShardedDarrService final : public RecordStore {
- public:
-  /// `self` is the client's node; it must not be one of the shard nodes.
-  ShardedDarrService(DarrCluster* cluster, dist::NodeId self,
-                     RetryPolicy retry = {});
-
-  std::optional<DarrRecord> fetch(const std::string& key, Wire& wire) override;
-  /// Grouped sweep: one round-trip per serving shard instead of one per
-  /// key. A shard unreachable past the retry budget reports its keys as
-  /// misses (cooperation continues on the live shards); NetworkError
-  /// propagates only when every shard was unreachable.
-  std::vector<std::optional<DarrRecord>> fetch_many(
-      const std::vector<std::string>& keys, Wire& wire) override;
-  bool claim(const std::string& key, const std::string& client,
-             Wire& wire) override;
-  void put(DarrRecord record, Wire& wire) override;
-  void release(const std::string& key, const std::string& client,
-               Wire& wire) override;
-  std::size_t n_records() const override;
-
- private:
-  /// First owner of `key` that is outside a crash window (the serving
-  /// shard for grouped sweeps); falls back to the primary when every
-  /// owner is down.
-  std::size_t serving_shard(const std::string& key) const;
-
-  /// Replicates one applied state change from the serving owner to every
-  /// other owner: ship `bytes` via dist::sync_replica, then apply_fn on
-  /// the replica's repository when the sync landed.
-  template <typename ApplyFn>
-  void sync_owners(std::size_t serving, const std::vector<std::size_t>& owners,
-                   const std::string& key, std::size_t bytes,
-                   const std::string& op, ApplyFn apply_fn);
-
-  DarrCluster* cluster_;
-  dist::NodeId self_;
-  RetryPolicy retry_;
 };
 
 }  // namespace coda::darr

@@ -22,7 +22,7 @@ namespace coda::dist {
 /// event — when the replica is inside a crash window or unreachable past
 /// the retry budget; the replica then keeps its old state and catches up
 /// on a later sync. Shared by ReplicatedStore::put and the DARR shard
-/// replication (darr::ShardedDarrService).
+/// replication (darr::DarrClient).
 bool sync_replica(SimNet& net, NodeId primary, NodeId replica,
                   std::size_t bytes, const RetryPolicy& retry,
                   const std::string& op, const std::string& key);

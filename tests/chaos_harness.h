@@ -111,7 +111,6 @@ struct ChaosFabric {
   dist::SimNet net;
   darr::DarrCluster cluster;
   std::vector<dist::NodeId> client_nodes;
-  std::vector<std::unique_ptr<darr::RecordStore>> services;
   std::vector<std::unique_ptr<darr::DarrClient>> clients;
 
   ChaosFabric(std::size_t n_clients, const ChaosSchedule& schedule)
@@ -129,10 +128,8 @@ struct ChaosFabric {
       const dist::NodeId node = net.add_node(name);
       client_nodes.push_back(node);
       const RetryPolicy retry = chaos_retry_policy(schedule.seed ^ (i + 1));
-      services.push_back(
-          std::make_unique<darr::ShardedDarrService>(&cluster, node, retry));
-      clients.push_back(std::make_unique<darr::DarrClient>(
-          services.back().get(), name, retry));
+      clients.push_back(
+          std::make_unique<darr::DarrClient>(&cluster, node, retry));
     }
     if (schedule.partitioned_client >= 0) {
       const dist::NodeId node =

@@ -133,8 +133,7 @@ struct ClientFixture : ::testing::Test {
   DarrRepository& repo = cluster.shard(0);
   dist::NodeId repo_node = cluster.node(0);
   dist::NodeId client_node = net.add_node("c0");
-  ShardedDarrService service{&cluster, client_node};
-  DarrClient client{&service, "c0"};
+  DarrClient client{&cluster, client_node};
 };
 
 TEST_F(ClientFixture, ImplementsResultCacheContract) {
@@ -182,11 +181,10 @@ TEST(DarrClient, ConstructionValidated) {
   dist::SimNet net;
   DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
   // A client cannot sit on the repository's own node.
-  EXPECT_THROW(ShardedDarrService(&cluster, cluster.node(0)),
-               InvalidArgument);
-  EXPECT_THROW(DarrClient(nullptr, "c"), InvalidArgument);
-  ShardedDarrService service(&cluster, net.add_node("c"));
-  EXPECT_THROW(DarrClient(&service, ""), InvalidArgument);
+  EXPECT_THROW(DarrClient(&cluster, cluster.node(0)), InvalidArgument);
+  EXPECT_THROW(DarrClient(nullptr, net.add_node("c")), InvalidArgument);
+  // An id the fabric never issued names no node.
+  EXPECT_THROW(DarrClient(&cluster, dist::NodeId{99}), InvalidArgument);
 }
 
 }  // namespace

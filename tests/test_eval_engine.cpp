@@ -211,7 +211,6 @@ TEST(EvalEngine, ClaimBlockedCandidateIsRequeuedThenServed) {
   EvalOptions options;
   options.threads = 2;
   options.cache = &cache;
-  options.claim_poll_ms = 5;
   options.claim_wait_ms = 2000;
   EvalEngine engine(options);
   std::vector<EvalEngine::Candidate> candidates;
@@ -236,7 +235,6 @@ TEST(EvalEngine, ExpiredClaimDeadlineFallsBackToLocalCompute) {
   EvalOptions options;
   options.threads = 1;
   options.cache = &cache;
-  options.claim_poll_ms = 5;
   options.claim_wait_ms = 50;
   EvalEngine engine(options);
   std::vector<EvalEngine::Candidate> candidates;
@@ -500,8 +498,7 @@ TEST(DarrClient, FetchManyUsesOneRoundTrip) {
   darr::DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
   const auto repo_node = cluster.node(0);
   const auto client_node = net.add_node("c0");
-  darr::ShardedDarrService service(&cluster, client_node);
-  darr::DarrClient client(&service, "c0");
+  darr::DarrClient client(&cluster, client_node);
   CachedResult r;
   r.mean_score = 2.0;
   r.fold_scores = {2.0};

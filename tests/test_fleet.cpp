@@ -1,6 +1,6 @@
 // Fleet-scale cooperative searches (ctest label `fleet`): hundreds to a
-// thousand clients sharing one sharded, replicated DARR tier through the
-// RecordStore surface. These runs assert the headline scaling invariants:
+// thousand clients sharing one sharded, replicated DARR tier, each through
+// its own DarrClient. These runs assert the headline scaling invariants:
 // zero redundant evaluations at thousand-client scale, redundancy-avoided
 // growing linearly with fleet size, replicated stores landing on every
 // owner, and a four-shard tier electing the same best pipeline as the

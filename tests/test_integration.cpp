@@ -106,10 +106,8 @@ TEST(Integration, DarrPrefixDiscoveryAcrossClients) {
   dist::SimNet net;
   darr::DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
   darr::DarrRepository& repo = cluster.shard(0);
-  darr::ShardedDarrService alice_service(&cluster, net.add_node("alice"));
-  darr::ShardedDarrService bob_service(&cluster, net.add_node("bob"));
-  darr::DarrClient alice(&alice_service, "alice");
-  darr::DarrClient bob(&bob_service, "bob");
+  darr::DarrClient alice(&cluster, net.add_node("alice"));
+  darr::DarrClient bob(&cluster, net.add_node("bob"));
 
   TEGraph g;
   std::vector<std::unique_ptr<Estimator>> models;

@@ -540,7 +540,6 @@ TEST(SearchTraffic, ExhaustiveClaimsBaseKeysAndFetchesOnlyOnRetry) {
   EvalOptions options;
   options.threads = 2;
   options.cache = &recorder;
-  options.claim_poll_ms = 5;
   options.claim_wait_ms = 2000;
   const auto report = run_engine(ranked_field(6, /*keyed=*/true), 3, options);
   peer.join();

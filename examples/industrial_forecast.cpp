@@ -70,7 +70,8 @@ int main() {
   std::printf("best CV RMSE:     %.4f\n", report.best().mean_score);
   std::printf("Zero-model floor: %.4f (the paper's baseline)\n", zero_best);
 
-  ForecastPipeline best = evaluator.train_best(graph, series, cv);
+  ForecastPipeline best =
+      ForecastGraphEvaluator::refit_best(graph, report, series);
   std::printf("\nnext-step forecast for sensor0: %.4f (last observed %.4f)\n",
               best.forecast_next(series),
               series.at(series.length() - 1, 0));

@@ -97,7 +97,7 @@ int main() {
               report.total_seconds);
 
   // Refit the winner on all data and predict a few points.
-  Pipeline best = evaluator.train_best(graph, data, cv);
+  Pipeline best = GraphEvaluator::refit_best(graph, report, data);
   const auto predictions = best.predict(data.X);
   std::printf("\nsample predictions (truth -> predicted):\n");
   for (std::size_t i = 0; i < 5; ++i) {

@@ -4,18 +4,25 @@
 # non-empty, every line must be well-formed folded-stack text
 # ("frame;frame;... <self_ns>"), and the known root regions of a
 # cooperative search (eval.run, eval.candidate, darr.client ops) must
-# appear. Finally re-runs the pinned reset test to assert that
+# appear. Then checks the Fig-11 profile ($BUILD_DIR/PROF_fig11.folded,
+# written by scripts/tier1.sh; regenerated here when missing or older than
+# the bench binary): neural fits must show nn.* frames below
+# eval.fold.fit. Finally re-runs the pinned reset test to assert that
 # obs::prof::reset() leaves the profiler empty.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
 BENCH="$BUILD_DIR/bench/bench_fig2_darr_cooperation"
+FIG11="$BUILD_DIR/bench/bench_fig11_ts_pipeline_graph"
+FIG11_FOLDED="$BUILD_DIR/PROF_fig11.folded"
 TESTBIN="$BUILD_DIR/tests/test_profiler"
-if [[ ! -x "$BENCH" ]]; then
-  echo "profile_check: missing $BENCH (build first)" >&2
-  exit 1
-fi
+for bin in "$BENCH" "$FIG11"; do
+  if [[ ! -x "$bin" ]]; then
+    echo "profile_check: missing $bin (build first)" >&2
+    exit 1
+  fi
+done
 
 OUT="$(mktemp /tmp/coda_profile_XXXXXX.folded)"
 trap 'rm -f "$OUT"' EXIT
@@ -52,6 +59,31 @@ for needle in ("eval.run", "eval.candidate", "darr.client."):
 
 print(f"profile check: {len(lines)} folded stacks, {len(roots)} root "
       f"frame(s), known regions present")
+PYEOF
+
+if [[ ! -s "$FIG11_FOLDED" || "$FIG11" -nt "$FIG11_FOLDED" ]]; then
+  echo "== profile check: $FIG11 --profile-folded=$FIG11_FOLDED =="
+  "$FIG11" --profile-folded="$FIG11_FOLDED" --benchmark_filter=__none__ \
+      >/dev/null
+fi
+
+python3 - "$FIG11_FOLDED" <<'PYEOF'
+import sys
+
+with open(sys.argv[1]) as f:
+    stacks = [line.rsplit(" ", 1)[0].split(";") for line in f if line.strip()]
+
+# Per-layer attribution inside fit: some nn.* region (layer passes,
+# optimizer, loss, batch gather) must sit below an eval.fold.fit frame.
+below_fit = {
+    frame
+    for frames in stacks if "eval.fold.fit" in frames
+    for frame in frames[frames.index("eval.fold.fit") + 1:]
+    if frame.startswith("nn.")
+}
+assert below_fit, f"no nn.* frames below eval.fold.fit in {sys.argv[1]}"
+print(f"profile check: {len(below_fit)} nn.* regions below eval.fold.fit "
+      f"in the Fig-11 profile")
 PYEOF
 
 # Reset contract: obs::prof::reset() must leave the profiler empty (no

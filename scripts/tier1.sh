@@ -34,9 +34,6 @@ ctest --test-dir build -L search --output-on-failure
 echo "== tier 1: Chrome trace export + span-tree invariants =="
 scripts/trace_check.sh build
 
-echo "== tier 1: folded-profile export + reset contract =="
-scripts/profile_check.sh build
-
 # The kernels compiled with -march=native must stay bit-identical to the
 # reference: the kernel and NN suites again, in a -DCODA_NATIVE_ARCH=ON
 # build that builds only them.
@@ -90,6 +87,11 @@ build/bench/bench_fleet \
 # graphs, DESIGN.md §16).
 build/bench/bench_search \
     --bench-json=build/BENCH_search.json --benchmark_filter='^$' >/dev/null
+
+# Checked after the fig-11 run above, so it reads the profile just written.
+echo "== tier 1: folded-profile export + nn.* regions + reset contract =="
+scripts/profile_check.sh build
+
 # 15% band on timings (so a >=20% regression of a committed baseline
 # fails); entries flagged "exact" must match bit-for-bit regardless, and
 # the fleet bench carries its own per-entry bands for the contention

@@ -26,8 +26,8 @@
 // eval.prefix_cache.{hit,miss,evicted,bytes}, eval.search.* and
 // cv.fold.seconds. The engine counts no DARR lookups of its own: the
 // ResultCache behind CooperativeFetch does (darr.client.{lookups,hits}).
-// Spans and profiler regions share names: eval.run, eval.candidate,
-// eval.fold (regions eval.fold.{prepare,fit,score} are obs::PhaseScope).
+// Traced regions: eval.run, eval.candidate and eval.fold, whose phases
+// eval.fold.{prepare,fit,score} are span-free phase regions.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,6 @@
 #include "src/core/evaluator.h"
 
-#include <cmath>
+#include <tuple>
 #include <utility>
 
 #include "src/core/eval_engine.h"
@@ -57,7 +57,8 @@ CachedResult cross_validate(const Pipeline& pipeline, const Dataset& data,
   require(!splits.empty(), "cross_validate: CV produced no splits");
 
   static auto& fold_seconds = obs::histogram("cv.fold.seconds");
-  const obs::ScopedSpan cv_span("cv.cross_validate");
+  const obs::Region cv_span(obs::region_id<"cv.cross_validate">(),
+                            obs::kTraced);
 
   CachedResult result;
   result.explanation = pipeline.spec();
@@ -72,17 +73,8 @@ CachedResult cross_validate(const Pipeline& pipeline, const Dataset& data,
     result.fold_scores.push_back(score(metric, test.y, predictions));
     fold_seconds.observe(fold_timer.elapsed_seconds());
   }
-
-  double sum = 0.0;
-  for (const double s : result.fold_scores) sum += s;
-  result.mean_score = sum / static_cast<double>(result.fold_scores.size());
-  double var = 0.0;
-  for (const double s : result.fold_scores) {
-    const double d = s - result.mean_score;
-    var += d * d;
-  }
-  result.stddev =
-      std::sqrt(var / static_cast<double>(result.fold_scores.size()));
+  std::tie(result.mean_score, result.stddev) =
+      mean_stddev(result.fold_scores);
   return result;
 }
 
@@ -139,7 +131,7 @@ double score_tabular_fold(const TEGraph& graph,
     // Phase attribution: each phase is one scope around the whole
     // lookup-or-compute block (hit and miss paths alike, per the profiler
     // determinism rules).
-    const obs::PhaseScope phase(obs::Phase::kPrepare);
+    const obs::Region phase(obs::Phase::kPrepare);
     for (std::size_t t = 0; t < pipeline.n_transformers(); ++t) {
       prefix_key += "|" + pipeline.transformer(t).spec();
       std::shared_ptr<const Transformed> stage =
@@ -163,10 +155,10 @@ double score_tabular_fold(const TEGraph& graph,
   }
   Estimator& estimator = pipeline.estimator();
   {
-    const obs::PhaseScope phase(obs::Phase::kFit);
+    const obs::Region phase(obs::Phase::kFit);
     estimator.fit(*train_X, fold_data.train.y);
   }
-  const obs::PhaseScope phase(obs::Phase::kScore);
+  const obs::Region phase(obs::Phase::kScore);
   return score(metric, fold_data.test.y, estimator.predict(*test_X));
 }
 
@@ -221,9 +213,9 @@ EvaluationReport GraphEvaluator::evaluate(const TEGraph& graph,
   return engine.run(std::move(engine_candidates), splits.size());
 }
 
-Pipeline GraphEvaluator::train_best(const TEGraph& graph, const Dataset& data,
-                                    const CrossValidator& cv) const {
-  const auto report = evaluate(graph, data, cv);
+Pipeline GraphEvaluator::refit_best(const TEGraph& graph,
+                                    const EvaluationReport& report,
+                                    const Dataset& data) {
   // Re-derive the best candidate by matching spec (reports do not own the
   // candidate objects; specs are canonical and unique per candidate).
   const auto candidates = graph.enumerate_candidates();
@@ -234,7 +226,7 @@ Pipeline GraphEvaluator::train_best(const TEGraph& graph, const Dataset& data,
       return p;
     }
   }
-  throw StateError("GraphEvaluator::train_best: best candidate not found");
+  throw StateError("GraphEvaluator::refit_best: best candidate not found");
 }
 
 }  // namespace coda

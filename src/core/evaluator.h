@@ -217,9 +217,11 @@ class GraphEvaluator {
   EvaluationReport evaluate(const TEGraph& graph, const Dataset& data,
                             const CrossValidator& cv) const;
 
-  /// Returns the best candidate's pipeline, re-fitted on the full dataset.
-  Pipeline train_best(const TEGraph& graph, const Dataset& data,
-                      const CrossValidator& cv) const;
+  /// The best candidate of `report` (an evaluate() of `graph` on
+  /// `data`), re-fitted on the full dataset; no candidate is re-scored.
+  static Pipeline refit_best(const TEGraph& graph,
+                             const EvaluationReport& report,
+                             const Dataset& data);
 
   /// The cache key for one candidate: dataset fingerprint + pipeline spec +
   /// CV spec + metric — identical inputs yield identical keys on every

@@ -288,4 +288,18 @@ double score(Metric m, const std::vector<double>& y_true,
   throw InvalidArgument("score: unknown metric");
 }
 
+std::pair<double, double> mean_stddev(const std::vector<double>& values) {
+  if (values.empty()) return {0.0, 0.0};
+  const double n = static_cast<double>(values.size());
+  double sum = 0.0;
+  for (const double v : values) sum += v;
+  const double mean = sum / n;
+  double var = 0.0;
+  for (const double v : values) {
+    const double d = v - mean;
+    var += d * d;
+  }
+  return {mean, std::sqrt(var / n)};
+}
+
 }  // namespace coda

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace coda {
@@ -41,6 +42,12 @@ bool higher_is_better(Metric m);
 /// the raw scores). Throws InvalidArgument on size mismatch or empty input.
 double score(Metric m, const std::vector<double>& y_true,
              const std::vector<double>& y_pred);
+
+/// (mean, population stddev) of `values`, each sum accumulated in order;
+/// (0, 0) when empty. Every fold summary (CachedResult, nested CV) and the
+/// neural estimators' target standardization go through here, so a result
+/// assembled from peers' fold segments is bit-identical to a local one.
+std::pair<double, double> mean_stddev(const std::vector<double>& values);
 
 // Individual metric functions (exposed for direct use and tests).
 double mse(const std::vector<double>& y_true, const std::vector<double>& y_pred);

@@ -1,6 +1,6 @@
 #include "src/core/nested_cv.h"
 
-#include <cmath>
+#include <tuple>
 
 namespace coda {
 
@@ -21,8 +21,8 @@ NestedCvResult nested_cross_validate(const TEGraph& graph,
     const Dataset train = data.select(split.train);
     const Dataset test = data.select(split.test);
 
-    Pipeline winner = evaluator.train_best(graph, train, inner_cv);
     const auto inner_report = evaluator.evaluate(graph, train, inner_cv);
+    Pipeline winner = GraphEvaluator::refit_best(graph, inner_report, train);
     result.mean_inner_score += inner_report.best().mean_score;
     result.selected_specs.push_back(inner_report.best().spec);
 
@@ -31,16 +31,9 @@ NestedCvResult nested_cross_validate(const TEGraph& graph,
         score(config.metric, test.y, predictions));
   }
 
-  const double n = static_cast<double>(result.outer_scores.size());
-  result.mean_inner_score /= n;
-  for (const double s : result.outer_scores) result.mean_score += s;
-  result.mean_score /= n;
-  double var = 0.0;
-  for (const double s : result.outer_scores) {
-    const double d = s - result.mean_score;
-    var += d * d;
-  }
-  result.stddev = std::sqrt(var / n);
+  result.mean_inner_score /= static_cast<double>(result.outer_scores.size());
+  std::tie(result.mean_score, result.stddev) =
+      mean_stddev(result.outer_scores);
   return result;
 }
 

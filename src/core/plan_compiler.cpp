@@ -195,7 +195,7 @@ double execute_tabular_plan(const CompiledTabularPlan& plan,
   // scope around lookups and computes alike, per the profiler determinism
   // rules.
   {
-    const obs::PhaseScope phase(obs::Phase::kPrepare);
+    const obs::Region phase(obs::Phase::kPrepare);
     std::size_t t = 0;
     const std::size_t n = plan.stages.size();
     while (t < n) {
@@ -252,10 +252,10 @@ double execute_tabular_plan(const CompiledTabularPlan& plan,
 
   Estimator& estimator = pipeline.estimator();
   {
-    const obs::PhaseScope phase(obs::Phase::kFit);
+    const obs::Region phase(obs::Phase::kFit);
     estimator.fit(*cur_train, train_y);
   }
-  const obs::PhaseScope phase(obs::Phase::kScore);
+  const obs::Region phase(obs::Phase::kScore);
   return score(metric, test_y, estimator.predict(*cur_test));
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -11,11 +10,11 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "src/obs/obs.h"
 #include "src/util/error.h"
-#include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer_wheel.h"
 
@@ -147,11 +146,9 @@ class PlanRun {
   }
 
   EvaluationReport execute() {
-    obs::ScopedSpan span("eval.run");
-    PROF_SCOPE("eval.run");
-    root_ctx_ = span.context();
+    obs::Region run(obs::region_id<"eval.run">(), obs::kTraced);
+    root_ctx_ = run.context();
     root_node_ = obs::Tracer::current_node();
-    Stopwatch total_timer;
     // The saving is a property of the plan, not the schedule — count it
     // once up front so it is identical on every client and under every
     // chaos interleaving.
@@ -176,7 +173,7 @@ class PlanRun {
         local_fold_evals_.load(std::memory_order_acquire);
     report_.pruned_candidates = pruned_total_;
     pick_best();
-    report_.total_seconds = total_timer.elapsed_seconds();
+    report_.total_seconds = run.stop();
     return std::move(report_);
   }
 
@@ -219,15 +216,13 @@ class PlanRun {
   // malformed publisher) is ignored and the candidate computed.
   void sweep() {
     if (!coop_.cooperative()) return;
-    PROF_SCOPE("eval.sweep");
+    obs::Region sweep_region(obs::region_id<"eval.sweep">());
     const std::size_t n = candidates_.size();
     std::vector<std::string> keys;
     keys.reserve(n);
     for (const auto& c : candidates_) keys.push_back(c.key);
-    Stopwatch sweep_timer;
     const auto hits = coop_.fetch_many(keys);
-    const double per_key =
-        sweep_timer.elapsed_seconds() / static_cast<double>(n);
+    const double per_key = sweep_region.stop() / static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i) {
       if (!hits[i].has_value() || hits[i]->fold_scores.size() != plan_.n_folds) {
         continue;
@@ -396,8 +391,8 @@ class PlanRun {
     // One span per scheduling attempt, parented under the run's root via
     // the ContextScope the submitting task installed. Cooperative calls
     // and fold tasks all descend from it.
-    PROF_SCOPE("eval.candidate");
-    obs::ScopedSpan attempt_span("eval.candidate");
+    obs::Region attempt_span(obs::region_id<"eval.candidate">(),
+                             obs::kTraced);
     attempt_span.tag("path", candidates_[i].spec);
     attempt_span.tag("rung", std::to_string(r));
     if (retry) attempt_span.tag("retry", "1");
@@ -503,8 +498,7 @@ class PlanRun {
     // A sibling fold already failed the candidate: skip the work, just
     // balance the countdown.
     if (!c.failed.load(std::memory_order_acquire)) {
-      PROF_SCOPE("eval.fold");
-      obs::ScopedSpan fold_span("eval.fold");
+      obs::Region fold_span(obs::region_id<"eval.fold">(), obs::kTraced);
       fold_span.tag("path", candidates_[i].spec);
       fold_span.tag("fold", std::to_string(fold));
       fold_span.tag("rung", std::to_string(r));
@@ -512,10 +506,9 @@ class PlanRun {
       // charged to this candidate's cost row.
       obs::CandidateScope cost_scope(candidates_[i].spec);
       try {
-        Stopwatch fold_timer;
         const double sc = candidates_[i].score_fold(fold, prefixes_);
         c.fold_scores[fold] = sc;
-        const double elapsed = fold_timer.elapsed_seconds();
+        const double elapsed = fold_span.stop();
         obs::observe_scoped("cv.fold.seconds", elapsed);
         obs::CandidateCosts::instance().record_fold(candidates_[i].spec,
                                                     elapsed);
@@ -620,10 +613,8 @@ class PlanRun {
     require_state(found, "EvalEngine: every candidate failed");
   }
 
-  /// Mean and population stddev over folds [begin, end) of `c`,
-  /// accumulated in fold order. Every published record and report row
-  /// goes through here, so a result assembled from peers' segments is
-  /// bit-identical to a local one.
+  /// Folds [begin, end) of `c` and their mean_stddev(). Every published
+  /// record and report row goes through here.
   static CachedResult summarize(const Cand& c, std::size_t begin,
                                 std::size_t end, const std::string& spec) {
     CachedResult result;
@@ -631,17 +622,8 @@ class PlanRun {
         c.fold_scores.begin() + static_cast<std::ptrdiff_t>(begin),
         c.fold_scores.begin() + static_cast<std::ptrdiff_t>(end));
     result.explanation = spec;
-    if (begin == end) return result;
-    const double k = static_cast<double>(end - begin);
-    double sum = 0.0;
-    for (const double sc : result.fold_scores) sum += sc;
-    result.mean_score = sum / k;
-    double var = 0.0;
-    for (const double sc : result.fold_scores) {
-      const double d = sc - result.mean_score;
-      var += d * d;
-    }
-    result.stddev = std::sqrt(var / k);
+    std::tie(result.mean_score, result.stddev) =
+        mean_stddev(result.fold_scores);
     return result;
   }
 

@@ -75,9 +75,9 @@ std::size_t DarrClient::serving_shard(const std::string& key) const {
 }
 
 template <typename ApplyFn, typename ReplicateFn>
-bool DarrClient::write(const char* op, const std::string& key,
-                       std::size_t request, ApplyFn apply,
-                       ReplicateFn replicate) {
+bool DarrClient::write(const char* op, obs::prof::RegionId repo_region,
+                       const std::string& key, std::size_t request,
+                       ApplyFn apply, ReplicateFn replicate) {
   dist::SimNet& net = cluster_->net();
   const std::string net_op = std::string("darr.") + op;
   const auto owners = cluster_->owners(key);
@@ -88,7 +88,7 @@ bool DarrClient::write(const char* op, const std::string& key,
     try {
       dist::transfer_with_retry(net, self_, node, request, retry_, net_op);
       {
-        obs::ScopedSpan repo_span(std::string("darr.repo.") + op);
+        obs::Region repo_span(repo_region, obs::kTraced);
         repo_span.set_node(net.node_name(node));
         applied = apply(cluster_->shard(shard), repo_span);
       }
@@ -121,8 +121,7 @@ bool DarrClient::write(const char* op, const std::string& key,
 }
 
 std::optional<CachedResult> DarrClient::fetch(const std::string& key) {
-  PROF_SCOPE("darr.client.fetch");
-  obs::ScopedSpan op_span("darr.client.fetch");
+  const obs::Region op(obs::region_id<"darr.client.fetch">(), obs::kTraced);
   dist::SimNet& net = cluster_->net();
   const std::size_t request = key_request_size(key);
   std::size_t sent = 0;
@@ -141,7 +140,8 @@ std::optional<CachedResult> DarrClient::fetch(const std::string& key) {
                                 "darr.fetch");
       std::optional<DarrRecord> record;
       {
-        obs::ScopedSpan repo_span("darr.repo.fetch");
+        obs::Region repo_span(obs::region_id<"darr.repo.fetch">(),
+                              obs::kTraced);
         repo_span.set_node(net.node_name(node));
         record = cluster_->shard(shard).fetch(key);
       }
@@ -175,9 +175,8 @@ std::optional<CachedResult> DarrClient::fetch(const std::string& key) {
 std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
     const std::vector<std::string>& keys) {
   if (keys.empty()) return {};
-  PROF_SCOPE("darr.client.fetch_many");
-  obs::ScopedSpan op_span("darr.client.fetch_many");
-  op_span.tag("keys", std::to_string(keys.size()));
+  obs::Region op(obs::region_id<"darr.client.fetch_many">(), obs::kTraced);
+  op.tag("keys", std::to_string(keys.size()));
   dist::SimNet& net = cluster_->net();
   std::vector<std::optional<CachedResult>> out(keys.size());
   // Group keys by serving shard: the sweep costs one round-trip per shard
@@ -201,7 +200,8 @@ std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
                                 "darr.fetch_many");
       std::size_t response = 0;
       {
-        obs::ScopedSpan repo_span("darr.repo.fetch_many");
+        obs::Region repo_span(obs::region_id<"darr.repo.fetch_many">(),
+                              obs::kTraced);
         repo_span.set_node(net.node_name(node));
         for (const std::size_t i : indices) {
           records.push_back(cluster_->shard(shard).fetch(keys[i]));
@@ -235,11 +235,11 @@ std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
 }
 
 bool DarrClient::claim(const std::string& key) {
-  PROF_SCOPE("darr.client.claim");
-  obs::ScopedSpan op_span("darr.client.claim");
+  const obs::Region op(obs::region_id<"darr.client.claim">(), obs::kTraced);
   const bool granted = write(
-      "claim", key, key_request_size(key) + name_.size(),
-      [&](DarrRepository& repo, obs::ScopedSpan& repo_span) {
+      "claim", obs::region_id<"darr.repo.claim">(), key,
+      key_request_size(key) + name_.size(),
+      [&](DarrRepository& repo, obs::Region& repo_span) {
         const bool granted = repo.claim(key, name_);
         repo_span.tag("granted", granted ? "1" : "0");
         // Tracked before the response leg: if that leg is lost the op
@@ -264,11 +264,10 @@ void DarrClient::put(const std::string& key, const CachedResult& result) {
   record.fold_scores = result.fold_scores;
   record.explanation = result.explanation;
   record.producer = name_;
-  PROF_SCOPE("darr.client.put");
-  obs::ScopedSpan op_span("darr.client.put");
+  const obs::Region op(obs::region_id<"darr.client.put">(), obs::kTraced);
   write(
-      "put", key, record.wire_size(),
-      [&](DarrRepository& repo, obs::ScopedSpan&) {
+      "put", obs::region_id<"darr.repo.put">(), key, record.wire_size(),
+      [&](DarrRepository& repo, obs::Region&) {
         repo.put(record, cluster_->net().now());
         untrack_claim(key);  // storing released the claim
         return true;
@@ -280,11 +279,12 @@ void DarrClient::put(const std::string& key, const CachedResult& result) {
 }
 
 void DarrClient::release(const std::string& key) {
-  PROF_SCOPE("darr.client.release");
-  obs::ScopedSpan op_span("darr.client.release");
+  const obs::Region op(obs::region_id<"darr.client.release">(),
+                       obs::kTraced);
   write(
-      "release", key, key_request_size(key) + name_.size(),
-      [&](DarrRepository& repo, obs::ScopedSpan&) {
+      "release", obs::region_id<"darr.repo.release">(), key,
+      key_request_size(key) + name_.size(),
+      [&](DarrRepository& repo, obs::Region&) {
         repo.release(key, name_);
         untrack_claim(key);
         return true;

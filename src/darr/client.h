@@ -15,6 +15,7 @@
 #include "src/core/evaluator.h"
 #include "src/darr/sharded.h"
 #include "src/obs/metrics.h"
+#include "src/obs/profiler.h"
 #include "src/util/retry.h"
 
 namespace coda::darr {
@@ -92,15 +93,16 @@ class DarrClient final : public ResultCache {
 
   /// Runs one state change (`op` = claim, put or release) on the first
   /// live owner of `key`: the request leg, `apply` on that owner's
-  /// repository inside its `darr.repo.<op>` span, `replicate` on every
-  /// other owner when apply reports a change, and the response leg. An
-  /// owner lost before it applied anything is skipped for the next one;
-  /// once a change is applied, a lost response leg rethrows, because
-  /// failing over would apply it twice. Returns apply's result and counts
-  /// the answering owner's bytes.
+  /// repository inside its traced `repo_region` (`darr.repo.<op>`),
+  /// `replicate` on every other owner when apply reports a change, and
+  /// the response leg. An owner lost before it applied anything is
+  /// skipped for the next one; once a change is applied, a lost response
+  /// leg rethrows, because failing over would apply it twice. Returns
+  /// apply's result and counts the answering owner's bytes.
   template <typename ApplyFn, typename ReplicateFn>
-  bool write(const char* op, const std::string& key, std::size_t request,
-             ApplyFn apply, ReplicateFn replicate);
+  bool write(const char* op, obs::prof::RegionId repo_region,
+             const std::string& key, std::size_t request, ApplyFn apply,
+             ReplicateFn replicate);
 
   /// First owner of `key` that is outside a crash window (the serving
   /// shard for grouped sweeps); falls back to the primary when every

@@ -14,7 +14,7 @@ ClientCache::ClientCache(SimNet* net, NodeId self, HomeDataStore* home)
 const Bytes& ClientCache::get(const std::string& key) {
   Entry& entry = entries_[key];
   facts_.pulls.inc();
-  obs::ScopedSpan span("clientcache.pull");
+  obs::Region span(obs::region_id<"clientcache.pull">(), obs::kTraced);
   span.tag("key", key);
   auto result = home_->fetch(key, self_, entry.version);
   facts_.bytes_received.inc(result.response_bytes);

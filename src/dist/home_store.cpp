@@ -75,7 +75,7 @@ void HomeDataStore::put(const std::string& key, Bytes value) {
 void HomeDataStore::push_update(const std::string& key, ObjectState& state,
                                 const Bytes& previous_value) {
   if (state.leases.empty()) return;
-  obs::ScopedSpan span("homestore.push_update");
+  obs::Region span(obs::region_id<"homestore.push_update">(), obs::kTraced);
   span.set_node(net_->node_name(self_));
   span.tag("key", key);
   const double now = net_->now();
@@ -167,7 +167,7 @@ HomeDataStore::FetchResult HomeDataStore::fetch(const std::string& key,
                                                 NodeId requester,
                                                 std::uint64_t have_version) {
   const ObjectState& state = state_of(key);
-  obs::ScopedSpan span("homestore.fetch");
+  obs::Region span(obs::region_id<"homestore.fetch">(), obs::kTraced);
   span.set_node(net_->node_name(self_));
   span.tag("key", key);
   FetchResult result;

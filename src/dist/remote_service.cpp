@@ -19,7 +19,7 @@ RemoteModelService::RemoteModelService(SimNet* net, NodeId self,
 
 void RemoteModelService::fit(NodeId caller, const Matrix& X,
                              const std::vector<double>& y) {
-  obs::ScopedSpan span("remote.fit");
+  obs::Region span(obs::region_id<"remote.fit">(), obs::kTraced);
   span.set_node(net_->node_name(self_));
   const std::size_t request =
       matrix_bytes(X) + y.size() * sizeof(double) + 16;
@@ -36,7 +36,7 @@ void RemoteModelService::fit(NodeId caller, const Matrix& X,
 
 std::vector<double> RemoteModelService::predict(NodeId caller,
                                                 const Matrix& X) {
-  obs::ScopedSpan span("remote.predict");
+  obs::Region span(obs::region_id<"remote.predict">(), obs::kTraced);
   span.set_node(net_->node_name(self_));
   const std::size_t request = matrix_bytes(X);
   transfer_with_retry(*net_, caller, self_, request, retry_,

@@ -5,7 +5,7 @@
 #include "src/dist/retry.h"
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/profiler.h"
 
 namespace coda::dist {
 
@@ -60,7 +60,7 @@ void ReplicatedStore::put(const std::string& key, Bytes value) {
                              ? stores_[0]->value(key)
                              : Bytes{};
   stores_[0]->put(key, value);
-  obs::ScopedSpan span("replication.put");
+  obs::Region span(obs::region_id<"replication.put">(), obs::kTraced);
   span.set_node(net_->node_name(nodes_[0]));
   span.tag("key", key);
   for (std::size_t i = 1; i < stores_.size(); ++i) {

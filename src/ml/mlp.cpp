@@ -1,7 +1,8 @@
 #include "src/ml/mlp.h"
 
-#include <cmath>
+#include <tuple>
 
+#include "src/core/metrics.h"
 #include "src/nn/dense.h"
 #include "src/nn/dropout.h"
 #include "src/nn/loss.h"
@@ -63,12 +64,7 @@ void MlpRegressor::fit(const Matrix& X, const std::vector<double>& y) {
   const MlpParams p = read_mlp_params(params());
 
   // Standardize targets so learning-rate defaults work across scales.
-  y_mean_ = 0.0;
-  for (const double v : y) y_mean_ += v;
-  y_mean_ /= static_cast<double>(y.size());
-  double var = 0.0;
-  for (const double v : y) var += (v - y_mean_) * (v - y_mean_);
-  y_scale_ = std::sqrt(var / static_cast<double>(y.size()));
+  std::tie(y_mean_, y_scale_) = mean_stddev(y);
   if (y_scale_ == 0.0) y_scale_ = 1.0;
   std::vector<double> scaled(y.size());
   for (std::size_t i = 0; i < y.size(); ++i) {

@@ -4,6 +4,7 @@
 
 #include "src/core/kernels.h"
 #include "src/nn/init.h"
+#include "src/obs/profiler.h"
 
 namespace coda::nn {
 
@@ -47,6 +48,7 @@ Matrix Conv1D::forward(const Matrix& input, bool) {
   // accumulation order matches the old per-tap loops exactly.
   const std::size_t fields = kernel_ * in_channels_;
   im2col_.reshape(input.rows() * out_len, fields);
+  obs::Region im2col(obs::region_id<"nn.conv1d.im2col">());
   for (std::size_t n = 0; n < input.rows(); ++n) {
     const double* in_row = input.row_ptr(n);
     for (std::size_t t = 0; t < out_len; ++t) {
@@ -70,6 +72,7 @@ Matrix Conv1D::forward(const Matrix& input, bool) {
       }
     }
   }
+  im2col.stop();
 
   Matrix out(input.rows(), out_len * out_channels_);
   for (std::size_t r = 0; r < im2col_.rows(); ++r) {
@@ -109,6 +112,7 @@ Matrix Conv1D::backward(const Matrix& grad_output) {
                    dcol_.ptr(), fields, {}, /*accumulate=*/false);
 
   Matrix grad_input(cached_input_.rows(), cached_input_.cols());
+  PROF_SCOPE("nn.conv1d.col2im");
   for (std::size_t n = 0; n < grad_output.rows(); ++n) {
     double* gi_row = grad_input.row_ptr(n);
     for (std::size_t t = 0; t < out_len; ++t) {

@@ -5,6 +5,7 @@
 
 #include "src/core/kernels.h"
 #include "src/nn/init.h"
+#include "src/obs/profiler.h"
 
 namespace coda::nn {
 namespace {
@@ -80,6 +81,7 @@ Matrix Lstm::forward(const Matrix& input, bool) {
     }
 
     const Matrix* c_prev = t > 0 ? &steps_[t - 1].c : nullptr;
+    PROF_SCOPE("nn.lstm.gates");
     for (std::size_t r = 0; r < n; ++r) {
       const double* zr = z_.row_ptr(r) + t * 4 * H;
       for (std::size_t hh = 0; hh < H; ++hh) {

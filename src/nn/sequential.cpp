@@ -2,7 +2,7 @@
 
 namespace coda::nn {
 
-Sequential::Sequential(const Sequential& other) {
+Sequential::Sequential(const Sequential& other) : regions_(other.regions_) {
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
 }
@@ -17,6 +17,9 @@ Sequential& Sequential::operator=(const Sequential& other) {
 
 Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   require(layer != nullptr, "Sequential: null layer");
+  const std::string prefix = "nn." + layer->name();
+  regions_.push_back({obs::prof::intern(prefix + ".fwd"),
+                      obs::prof::intern(prefix + ".bwd")});
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -29,15 +32,19 @@ Layer& Sequential::layer(std::size_t i) {
 Matrix Sequential::forward(const Matrix& input, bool training) {
   require_state(!layers_.empty(), "Sequential: no layers");
   Matrix current = input;
-  for (auto& l : layers_) current = l->forward(current, training);
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const obs::Region region(regions_[i].fwd);
+    current = layers_[i]->forward(current, training);
+  }
   return current;
 }
 
 Matrix Sequential::backward(const Matrix& grad_output) {
   require_state(!layers_.empty(), "Sequential: no layers");
   Matrix grad = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->backward(grad);
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    const obs::Region region(regions_[i].bwd);
+    grad = layers_[i]->backward(grad);
   }
   return grad;
 }

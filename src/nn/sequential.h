@@ -5,10 +5,14 @@
 #include <vector>
 
 #include "src/nn/layer.h"
+#include "src/obs/profiler.h"
 
 namespace coda::nn {
 
 /// A stack of layers applied in order. Copyable (deep copy via clone()).
+/// Each layer's pass runs in the span-free profiler region
+/// `nn.<layer name>.fwd` / `.bwd`, whose ids are interned when the layer
+/// joins the network and shared by every layer of that kind.
 class Sequential {
  public:
   Sequential() = default;
@@ -40,7 +44,13 @@ class Sequential {
   std::size_t parameter_count();
 
  private:
+  struct Regions {
+    obs::prof::RegionId fwd;
+    obs::prof::RegionId bwd;
+  };
+
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<Regions> regions_;  ///< parallel to layers_
 };
 
 }  // namespace coda::nn

@@ -2,7 +2,6 @@
 
 #include "src/obs/obs.h"
 #include "src/util/random.h"
-#include "src/util/stopwatch.h"
 
 namespace coda::nn {
 
@@ -22,7 +21,7 @@ std::vector<double> train(Sequential& net, const Matrix& X,
 
   static auto& epoch_loss_gauge = obs::gauge("nn.epoch.loss");
   static auto& step_seconds = obs::histogram("nn.step.seconds");
-  const obs::ScopedSpan span("nn.train");
+  const obs::Region span(obs::region_id<"nn.train">(), obs::kTraced);
 
   Rng rng(config.shuffle_seed);
   const auto params = net.parameters();
@@ -43,7 +42,8 @@ std::vector<double> train(Sequential& net, const Matrix& X,
     std::size_t batches = 0;
     for (std::size_t start = 0; start < order.size();
          start += config.batch_size) {
-      Stopwatch step_timer;
+      obs::Region step(obs::region_id<"nn.step">());
+      obs::Region gather(obs::region_id<"nn.batch_gather">());
       const std::size_t end =
           std::min(start + config.batch_size, order.size());
       batch_idx.assign(order.begin() + static_cast<std::ptrdiff_t>(start),
@@ -52,14 +52,20 @@ std::vector<double> train(Sequential& net, const Matrix& X,
       bt.reshape(batch_idx.size(), targets.cols());
       X.gather_rows_into(batch_idx, bx);
       targets.gather_rows_into(batch_idx, bt);
+      gather.stop();
 
       net.zero_grad();
       const Matrix pred = net.forward(bx, /*training=*/true);
+      obs::Region loss_region(obs::region_id<"nn.loss">());
       epoch_loss += loss.value(pred, bt);
-      net.backward(loss.gradient(pred, bt));
+      const Matrix grad = loss.gradient(pred, bt);
+      loss_region.stop();
+      net.backward(grad);
+      obs::Region optimize(obs::region_id<"nn.optimizer">());
       optimizer.step(params);
+      optimize.stop();
       ++batches;
-      step_seconds.observe(step_timer.elapsed_seconds());
+      step_seconds.observe(step.stop());
     }
     epoch_losses.push_back(epoch_loss / static_cast<double>(batches));
     epoch_loss_gauge.set(epoch_losses.back());

@@ -91,24 +91,9 @@ void prefix_event(bool hit) {
   CandidateCosts::instance().record_prefix(t_current_candidate, hit);
 }
 
-namespace {
-
-prof::RegionId phase_region(Phase phase) {
-  static const prof::RegionId regions[] = {
-      prof::intern("eval.fold.prepare"), prof::intern("eval.fold.fit"),
-      prof::intern("eval.fold.score")};
-  return regions[static_cast<std::size_t>(phase)];
-}
-
-}  // namespace
-
-PhaseScope::PhaseScope(Phase phase)
-    : phase_(phase), region_(phase_region(phase)) {}
-
-PhaseScope::~PhaseScope() {
-  const double seconds = region_.stop() * 1e-9;
+void charge_phase(Phase phase, double seconds) {
   if (t_current_candidate.empty()) return;
-  CandidateCosts::instance().record_phase(t_current_candidate, phase_,
+  CandidateCosts::instance().record_phase(t_current_candidate, phase,
                                           seconds);
 }
 

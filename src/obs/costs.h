@@ -7,7 +7,9 @@
 //
 // Attribution is ambient: fold workers install a CandidateScope naming
 // the pipeline path, and lower layers (PrefixCache) call prefix_event()
-// without knowing which candidate is running.
+// without knowing which candidate is running. Fold phases are timed by a
+// phase obs::Region (profiler.h), which charges its one elapsed reading
+// here through charge_phase() — the cost row has no clock of its own.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +42,6 @@ struct CandidateCost {
   /// `folds`/`fold_seconds` — partial evaluation, never a zero/NaN row.
   std::int64_t pruned_at_rung = -1;
 };
-
-/// A fold phase charged via the ambient candidate attribution.
-enum class Phase : std::uint8_t { kPrepare = 0, kFit = 1, kScore = 2 };
 
 /// Process-wide candidate cost table.
 class CandidateCosts {
@@ -88,23 +87,9 @@ const std::string& current_candidate();
 /// unattributed).
 void prefix_event(bool hit);
 
-/// One fold phase, timed once: the scope opens the `eval.fold.prepare` /
-/// `.fit` / `.score` profiler region and, on close, charges the region's
-/// elapsed time to the ambient candidate's cost row (no-op when
-/// unattributed). Score paths declare one per phase block, around the
-/// whole lookup-or-compute work (profiler determinism rules, DESIGN.md
-/// §15).
-class PhaseScope {
- public:
-  explicit PhaseScope(Phase phase);
-  ~PhaseScope();
-
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  Phase phase_;
-  prof::Scope region_;
-};
+/// Charges `seconds` of `phase` to the ambient candidate's cost row (no-op
+/// when unattributed). A phase Region calls it on close; score paths open
+/// one around each whole lookup-or-compute block (DESIGN.md §15).
+void charge_phase(Phase phase, double seconds);
 
 }  // namespace coda::obs

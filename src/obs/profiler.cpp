@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/obs/costs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
@@ -21,17 +22,10 @@ namespace coda::obs::prof {
 
 namespace {
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 // ---------------------------------------------------------------------------
 // Region interning. Names live in a deque so region_name() references stay
 // valid forever; the mutex is only taken at intern time (once per call
-// site, via the PROF_SCOPE function-local static) and at lookup.
+// site or name, via a function-local static) and at lookup.
 
 struct Regions {
   std::mutex mutex;
@@ -222,38 +216,6 @@ const std::string& region_name(RegionId id) {
   std::lock_guard<std::mutex> lock(r.mutex);
   require(id < r.names.size(), "prof::region_name: unknown region id");
   return r.names[id];
-}
-
-Scope::Scope(RegionId region) {
-  ThreadArena& arena = acquire_arena();
-  PathNode* parent = t_state.current;
-  PathNode* node;
-  if (parent == nullptr) {
-    node = root_for(arena, Tracer::current_node(), region);
-  } else {
-    node = find_child(parent, region);
-    if (node == nullptr) node = add_child(arena, parent, region);
-  }
-  node_ = node;
-  prev_ = parent;
-  t_state.current = node;
-  static auto& scopes = obs::counter("prof.scopes");
-  scopes.inc();
-  start_ns_ = now_ns();
-}
-
-std::uint64_t Scope::stop() {
-  const std::uint64_t elapsed = now_ns() - start_ns_;
-  auto* node = static_cast<PathNode*>(node_);
-  // Single-writer accumulate: relaxed load+store, no RMW on the hot path.
-  node->calls.store(node->calls.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-  node->total_ns.store(
-      node->total_ns.load(std::memory_order_relaxed) + elapsed,
-      std::memory_order_relaxed);
-  t_state.current = static_cast<PathNode*>(prev_);
-  node_ = nullptr;
-  return elapsed;
 }
 
 std::vector<PathStat> merged_paths() {
@@ -464,3 +426,88 @@ void reset() {
 }
 
 }  // namespace coda::obs::prof
+
+namespace coda::obs {
+
+using prof::PathNode;
+using prof::t_state;
+
+Region::Region(prof::RegionId region) {
+  prof::ThreadArena& arena = prof::acquire_arena();
+  PathNode* parent = t_state.current;
+  PathNode* node;
+  if (parent == nullptr) {
+    node = prof::root_for(arena, Tracer::current_node(), region);
+  } else {
+    node = prof::find_child(parent, region);
+    if (node == nullptr) node = prof::add_child(arena, parent, region);
+  }
+  node_ = node;
+  prev_ = parent;
+  t_state.current = node;
+  static auto& scopes = obs::counter("prof.scopes");
+  scopes.inc();
+  start_ = std::chrono::steady_clock::now();
+}
+
+Region::Region(prof::RegionId region, Traced) : Region(region) {
+  Tracer& tracer = Tracer::instance();
+  SpanRecord& span = span_.emplace();
+  span.id = tracer.next_id();
+  span.parent_id = Tracer::current_span();
+  prev_trace_ = Tracer::current_trace();
+  span.trace_id = prev_trace_ != 0 ? prev_trace_ : tracer.next_trace_id();
+  span.name = prof::region_name(region);
+  span.node = Tracer::current_node();
+  span.start_seconds = tracer.seconds_at(start_);
+  Tracer::set_current_span(span.id);
+  Tracer::set_current_trace(span.trace_id);
+}
+
+Region::Region(Phase phase)
+    : Region(phase == Phase::kPrepare ? region_id<"eval.fold.prepare">()
+             : phase == Phase::kFit   ? region_id<"eval.fold.fit">()
+                                      : region_id<"eval.fold.score">()) {
+  phase_ = phase;
+}
+
+double Region::stop() {
+  const std::uint64_t elapsed = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start_)
+          .count());
+  auto* node = static_cast<PathNode*>(node_);
+  // Single-writer accumulate: relaxed load+store, no RMW on the hot path.
+  node->calls.store(node->calls.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+  node->total_ns.store(
+      node->total_ns.load(std::memory_order_relaxed) + elapsed,
+      std::memory_order_relaxed);
+  t_state.current = static_cast<PathNode*>(prev_);
+  node_ = nullptr;
+  const double seconds = static_cast<double>(elapsed) * 1e-9;
+  if (span_) {
+    Tracer::set_current_span(span_->parent_id);
+    Tracer::set_current_trace(prev_trace_);
+    span_->duration_seconds = seconds;
+    Tracer::instance().record(std::move(*span_));
+    span_.reset();
+  }
+  if (phase_) charge_phase(*phase_, seconds);
+  return seconds;
+}
+
+TraceContext Region::context() const {
+  return span_ ? TraceContext{span_->trace_id, span_->id}
+               : Tracer::current_context();
+}
+
+void Region::tag(std::string key, std::string value) {
+  if (span_) span_->tags.emplace_back(std::move(key), std::move(value));
+}
+
+void Region::set_node(std::string node) {
+  if (span_) span_->node = std::move(node);
+}
+
+}  // namespace coda::obs

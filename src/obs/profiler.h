@@ -1,9 +1,10 @@
-// Always-on region profiler (observability layer, DESIGN.md §15): a
-// PROF_SCOPE("name") RAII region maintains a per-thread call-path stack
-// and accumulates call counts and total nanoseconds into a per-thread
-// arena — no locks on the hot path (two steady-clock reads plus a few
-// relaxed atomic operations per scope). Arenas are merged at export time
-// into
+// Always-on region profiler (observability layer, DESIGN.md §15). Its one
+// timed scope, obs::Region, maintains a per-thread call-path stack and
+// accumulates call counts and total nanoseconds into a per-thread arena —
+// no locks on the hot path (two steady-clock reads plus a few relaxed
+// atomic operations per scope). A Region opens a trace span only where its
+// site asks (kTraced); PROF_SCOPE("name") is the one-line, span-free
+// Region for hot paths. Arenas are merged at export time into
 //   * folded-stack ("collapsed") text consumable by flamegraph.pl /
 //     speedscope — the `--profile-folded` bench flag and the
 //     CODA_PROFILE_DUMP environment variable both emit it;
@@ -33,45 +34,26 @@
 // safe while no scopes are live — the same contract as Tracer::clear().
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "src/obs/trace.h"
 
 namespace coda::obs::prof {
 
 /// Interned region identifier; stable for the process lifetime.
 using RegionId = std::uint32_t;
 
-/// Interns `name` (idempotent) and returns its id. Called once per
-/// PROF_SCOPE call site via a function-local static.
+/// Interns `name` (idempotent) and returns its id. Called once per call
+/// site (PROF_SCOPE) or once per name (obs::region_id), never per scope.
 RegionId intern(const std::string& name);
 
 /// The name behind an interned id (throws InvalidArgument on unknown id).
 const std::string& region_name(RegionId id);
-
-/// RAII region: pushes the region onto the calling thread's call path on
-/// construction, accumulates elapsed time and one call on destruction.
-/// Use the PROF_SCOPE macro rather than constructing Scope directly.
-class Scope {
- public:
-  explicit Scope(RegionId region);
-  ~Scope() {
-    if (node_ != nullptr) stop();
-  }
-
-  /// Closes the region now and returns the nanoseconds it was charged
-  /// (the one clock read pair callers can reuse); the destructor is then
-  /// a no-op. Call at most once.
-  std::uint64_t stop();
-
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  void* node_ = nullptr;  // PathNode* of this scope
-  void* prev_ = nullptr;  // PathNode* of the enclosing scope (may be null)
-  std::uint64_t start_ns_ = 0;
-};
 
 /// One merged root→leaf call path, aggregated over every thread arena.
 struct PathStat {
@@ -132,14 +114,82 @@ bool empty();
 
 /// Zeroes every accumulator and the publish baselines; the interned
 /// regions and arena structure survive (references stay valid). Only safe
-/// while no Scope is live on another thread. obs::reset_all() calls this.
+/// while no Region is live on another thread. obs::reset_all() calls
+/// this.
 void reset();
 
 }  // namespace coda::obs::prof
 
-// Function-local static interning + RAII scope. Usage:
+namespace coda::obs {
+
+namespace detail {
+template <std::size_t N>
+struct RegionName {
+  constexpr RegionName(const char (&name)[N]) { std::copy_n(name, N, chars); }
+  char chars[N];
+};
+}  // namespace detail
+
+/// The region id of `Name`, interned once per name (a function-local
+/// static per template instance).
+template <detail::RegionName Name>
+prof::RegionId region_id() {
+  static const prof::RegionId id = prof::intern(Name.chars);
+  return id;
+}
+
+/// A fold phase: its Region opens `eval.fold.prepare` / `.fit` / `.score`
+/// and charges the ambient candidate's cost row (costs.h) on close.
+enum class Phase : std::uint8_t { kPrepare = 0, kFit = 1, kScore = 2 };
+
+/// Asks a Region to open a trace span under the region's name too.
+struct Traced {};
+inline constexpr Traced kTraced{};
+
+/// The one RAII timed scope. It pushes its region onto the calling
+/// thread's call path and, on close, accumulates one call and the elapsed
+/// time. A traced region also opens a span of the same name under the
+/// thread's ambient context (no ambient trace starts a new one); a phase
+/// region also charges the ambient candidate. Region, span and cost row
+/// share one pair of steady-clock reads.
+class Region {
+ public:
+  explicit Region(prof::RegionId region);
+  Region(prof::RegionId region, Traced);
+  explicit Region(Phase phase);
+  ~Region() {
+    if (node_ != nullptr) stop();
+  }
+
+  Region(const Region&) = delete;
+  Region& operator=(const Region&) = delete;
+
+  /// Closes the scope now and returns its elapsed seconds; the destructor
+  /// is then a no-op. Call at most once.
+  double stop();
+
+  /// The span half (no-ops on an untraced region, whose context() is the
+  /// thread's ambient one): the context to hand to children (tasks,
+  /// messages), a key/value tag on the record, and the node attribution
+  /// (default: the thread's NodeScope).
+  TraceContext context() const;
+  void tag(std::string key, std::string value);
+  void set_node(std::string node);
+
+ private:
+  void* node_ = nullptr;  // PathNode* of this scope
+  void* prev_ = nullptr;  // PathNode* of the enclosing scope (may be null)
+  std::chrono::steady_clock::time_point start_;
+  std::optional<Phase> phase_;
+  std::optional<SpanRecord> span_;  // the span half, recorded by stop()
+  std::uint64_t prev_trace_ = 0;    // the thread's trace before the span
+};
+
+}  // namespace coda::obs
+
+// Span-free Region with function-local static interning. Usage:
 //   void hot_path() {
-//     PROF_SCOPE("eval.fold");
+//     PROF_SCOPE("nn.loss");
 //     ...
 //   }
 #define CODA_PROF_CONCAT2(a, b) a##b
@@ -147,6 +197,6 @@ void reset();
 #define PROF_SCOPE(name)                                              \
   static const ::coda::obs::prof::RegionId CODA_PROF_CONCAT(          \
       coda_prof_region_, __LINE__) = ::coda::obs::prof::intern(name); \
-  const ::coda::obs::prof::Scope CODA_PROF_CONCAT(coda_prof_scope_,   \
-                                                  __LINE__)(          \
+  const ::coda::obs::Region CODA_PROF_CONCAT(coda_prof_scope_,        \
+                                             __LINE__)(               \
       CODA_PROF_CONCAT(coda_prof_region_, __LINE__))

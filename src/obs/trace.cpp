@@ -35,6 +35,7 @@ void Tracer::record(SpanRecord span) {
   // idempotent and the registry has its own synchronisation.
   static auto& recorded_metric = counter("obs.trace.recorded");
   static auto& dropped_metric = counter("obs.trace.dropped");
+  span.thread = this_thread_hash();
   bool wrapped = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -61,7 +62,6 @@ std::uint64_t Tracer::record_span(
   span.trace_id = parent.valid() ? parent.trace_id : next_trace_id();
   span.name = std::move(name);
   span.node = std::move(node);
-  span.thread = this_thread_hash();
   span.clock = clock;
   span.start_seconds = start_seconds;
   span.duration_seconds = duration_seconds;
@@ -123,47 +123,6 @@ void Tracer::set_current_span(std::uint64_t id) { t_current_span = id; }
 std::uint64_t Tracer::current_trace() { return t_current_trace; }
 void Tracer::set_current_trace(std::uint64_t id) { t_current_trace = id; }
 const std::string& Tracer::current_node() { return t_current_node; }
-
-ScopedSpan::ScopedSpan(std::string name, Tracer& tracer)
-    : ScopedSpan(std::move(name),
-                 TraceContext{t_current_trace, t_current_span}, tracer) {}
-
-ScopedSpan::ScopedSpan(std::string name, const TraceContext& parent,
-                       Tracer& tracer)
-    : tracer_(tracer),
-      name_(std::move(name)),
-      node_(t_current_node),
-      id_(tracer.next_id()),
-      parent_id_(parent.parent_span_id),
-      trace_id_(parent.valid() ? parent.trace_id : tracer.next_trace_id()),
-      prev_trace_(t_current_trace),
-      start_seconds_(tracer.now_seconds()) {
-  t_current_span = id_;
-  t_current_trace = trace_id_;
-}
-
-ScopedSpan::~ScopedSpan() {
-  t_current_span = parent_id_;
-  t_current_trace = prev_trace_;
-  SpanRecord span;
-  span.id = id_;
-  span.parent_id = parent_id_;
-  span.trace_id = trace_id_;
-  span.name = std::move(name_);
-  span.node = std::move(node_);
-  span.thread = this_thread_hash();
-  span.clock = ClockDomain::kSteady;
-  span.start_seconds = start_seconds_;
-  span.duration_seconds = tracer_.now_seconds() - start_seconds_;
-  span.tags = std::move(tags_);
-  tracer_.record(std::move(span));
-}
-
-void ScopedSpan::tag(std::string key, std::string value) {
-  tags_.emplace_back(std::move(key), std::move(value));
-}
-
-void ScopedSpan::set_node(std::string node) { node_ = std::move(node); }
 
 ContextScope::ContextScope(const TraceContext& ctx)
     : prev_trace_(t_current_trace), prev_span_(t_current_span) {

@@ -1,6 +1,9 @@
-// Causal span tracer (observability layer): RAII ScopedSpan records name,
-// start/duration, and parent linkage. Within one thread, nesting is
-// automatic (a thread-local current-span id); across threads and across
+// Causal span tracer (observability layer): a span records name,
+// start/duration, and parent linkage. Steady-clock spans are the span half
+// of a traced obs::Region (profiler.h), so each carries its profiler
+// region's name and clock reads; there is no span scope of its own.
+// Within one thread, nesting is automatic (a thread-local current-span
+// id); across threads and across
 // the simulated network, a TraceContext {trace_id, parent_span_id} is
 // carried explicitly (thread-pool tasks via ContextScope, SimNet messages
 // via a message header), so one cooperative search yields one connected
@@ -77,13 +80,15 @@ class Tracer {
     return trace_source_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Seconds since this tracer's epoch (steady clock).
+  /// Seconds since this tracer's epoch (steady clock), now or at `t`.
   double now_seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
+    return seconds_at(std::chrono::steady_clock::now());
+  }
+  double seconds_at(std::chrono::steady_clock::time_point t) const {
+    return std::chrono::duration<double>(t - epoch_).count();
   }
 
+  /// Records a finished span, stamped with the calling thread.
   void record(SpanRecord span);
 
   /// Allocates an id and records an already-finished span in one call —
@@ -116,8 +121,8 @@ class Tracer {
   /// spans are live on other threads.
   void clear();
 
-  /// The calling thread's innermost live span id (0 = none). ScopedSpan
-  /// maintains this; exposed so manual instrumentation can interoperate.
+  /// The calling thread's innermost live span id (0 = none). Traced
+  /// regions maintain this; exposed so manual instrumentation can interoperate.
   static std::uint64_t current_span();
   static void set_current_span(std::uint64_t id);
 
@@ -144,44 +149,6 @@ class Tracer {
   std::size_t next_slot_ = 0;
   std::uint64_t total_recorded_ = 0;
   std::map<std::uint64_t, Anchor> anchors_;
-};
-
-/// RAII span: opens on construction, records on destruction. Nested
-/// ScopedSpans on the same thread are parented automatically; the
-/// two-argument form parents under an explicit (possibly remote) context
-/// instead. A span opened with no ambient trace starts a new trace.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string name, Tracer& tracer = Tracer::instance());
-  ScopedSpan(std::string name, const TraceContext& parent,
-             Tracer& tracer = Tracer::instance());
-  ~ScopedSpan();
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  std::uint64_t id() const { return id_; }
-  std::uint64_t trace_id() const { return trace_id_; }
-
-  /// Context to hand to children (tasks, messages) of this span.
-  TraceContext context() const { return TraceContext{trace_id_, id_}; }
-
-  /// Attaches a key/value tag to the record.
-  void tag(std::string key, std::string value);
-
-  /// Overrides the node attribution (default: the thread's NodeScope).
-  void set_node(std::string node);
-
- private:
-  Tracer& tracer_;
-  std::string name_;
-  std::string node_;
-  std::uint64_t id_;
-  std::uint64_t parent_id_;
-  std::uint64_t trace_id_;
-  std::uint64_t prev_trace_;
-  double start_seconds_;
-  std::vector<std::pair<std::string, std::string>> tags_;
 };
 
 /// RAII cross-thread continuation: adopts `ctx` (and optionally a node

@@ -67,7 +67,7 @@ FailurePredictionResult FailurePredictionAnalysis::run(
 
   FailurePredictionResult result;
   result.search = evaluator.evaluate(graph, data, cv);
-  result.best = evaluator.train_best(graph, data, cv);
+  result.best = GraphEvaluator::refit_best(graph, result.search, data);
   result.best_f1 = result.search.best().mean_score;
 
   // AUC on a held-out split (trained on the train side only).

@@ -213,11 +213,11 @@ double score_forecast_fold(const ForecastGraph& graph,
     // component specs, so a parameter change invalidates the plan exactly
     // like it invalidates the fitted prefix below.
     // Phase attribution: plan + fold memoization = prepare, model fit =
-    // fit, predict + metric = score; each phase scope wraps its
+    // fit, predict + metric = score; each phase region wraps its
     // lookup-or-compute block whole (profiler determinism rules).
     std::shared_ptr<const PreparedFold> prepared;
     {
-      const obs::PhaseScope phase(obs::Phase::kPrepare);
+      const obs::Region phase(obs::Phase::kPrepare);
       const std::string plan_key = "plan|ts|" + prefix;
       std::shared_ptr<const CompiledForecastPlan> plan =
           prefixes.get<CompiledForecastPlan>(plan_key);
@@ -236,16 +236,16 @@ double score_forecast_fold(const ForecastGraph& graph,
       }
     }
     {
-      const obs::PhaseScope phase(obs::Phase::kFit);
+      const obs::Region phase(obs::Phase::kFit);
       pipeline.model().fit(prepared->X_train, prepared->y_train);
     }
-    const obs::PhaseScope phase(obs::Phase::kScore);
+    const obs::Region phase(obs::Phase::kScore);
     return score(metric, prepared->y_val,
                  pipeline.model().predict(prepared->X_val));
   }
   std::shared_ptr<const WindowedData> wd;
   {
-    const obs::PhaseScope phase(obs::Phase::kPrepare);
+    const obs::Region phase(obs::Phase::kPrepare);
     const std::string prefix_key =
         "ts|f" + std::to_string(fold) + "|" + prefix;
     wd = prefixes.get<WindowedData>(prefix_key);
@@ -257,10 +257,10 @@ double score_forecast_fold(const ForecastGraph& graph,
     }
   }
   {
-    const obs::PhaseScope phase(obs::Phase::kFit);
+    const obs::Region phase(obs::Phase::kFit);
     pipeline.fit_prepared(series, a, b, *wd);
   }
-  const obs::PhaseScope phase(obs::Phase::kScore);
+  const obs::Region phase(obs::Phase::kScore);
   const auto [pred, truth] = pipeline.predict_range_prepared(*wd, c, d);
   return score(metric, truth, pred);
 }
@@ -307,10 +307,9 @@ EvaluationReport ForecastGraphEvaluator::evaluate(
   return engine.run(std::move(engine_candidates), splits.size());
 }
 
-ForecastPipeline ForecastGraphEvaluator::train_best(
-    const ForecastGraph& graph, const TimeSeries& series,
-    const TimeSeriesSlidingSplit& cv) const {
-  const auto report = evaluate(graph, series, cv);
+ForecastPipeline ForecastGraphEvaluator::refit_best(
+    const ForecastGraph& graph, const EvaluationReport& report,
+    const TimeSeries& series) {
   const auto candidates = graph.enumerate();
   const std::size_t v = series.n_variables();
   for (const auto& candidate : candidates) {

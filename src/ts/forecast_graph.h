@@ -98,10 +98,11 @@ class ForecastGraphEvaluator {
                             const TimeSeries& series,
                             const TimeSeriesSlidingSplit& cv) const;
 
-  /// Best path's pipeline re-fitted on the whole series.
-  ForecastPipeline train_best(const ForecastGraph& graph,
-                              const TimeSeries& series,
-                              const TimeSeriesSlidingSplit& cv) const;
+  /// The best path of `report` (an evaluate() of `graph` on `series`),
+  /// re-fitted on the whole series; no path is re-scored.
+  static ForecastPipeline refit_best(const ForecastGraph& graph,
+                                     const EvaluationReport& report,
+                                     const TimeSeries& series);
 
   static std::string cache_key(const TimeSeries& series,
                                const std::string& candidate_spec,

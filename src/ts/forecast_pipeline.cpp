@@ -1,6 +1,6 @@
 #include "src/ts/forecast_pipeline.h"
 
-#include <cmath>
+#include <tuple>
 
 #include "src/obs/obs.h"
 #include "src/util/stopwatch.h"
@@ -172,7 +172,8 @@ CachedResult evaluate_forecast(const ForecastPipeline& pipeline,
                                const TimeSeriesSlidingSplit& cv,
                                Metric metric) {
   static auto& fold_seconds = obs::histogram("cv.fold.seconds");
-  const obs::ScopedSpan cv_span("cv.evaluate_forecast");
+  const obs::Region cv_span(obs::region_id<"cv.evaluate_forecast">(),
+                            obs::kTraced);
 
   const auto splits = cv.splits(series.length());
   CachedResult result;
@@ -190,16 +191,8 @@ CachedResult evaluate_forecast(const ForecastPipeline& pipeline,
     result.fold_scores.push_back(score(metric, truth, pred));
     fold_seconds.observe(fold_timer.elapsed_seconds());
   }
-  double sum = 0.0;
-  for (const double s : result.fold_scores) sum += s;
-  result.mean_score = sum / static_cast<double>(result.fold_scores.size());
-  double var = 0.0;
-  for (const double s : result.fold_scores) {
-    const double diff = s - result.mean_score;
-    var += diff * diff;
-  }
-  result.stddev =
-      std::sqrt(var / static_cast<double>(result.fold_scores.size()));
+  std::tie(result.mean_score, result.stddev) =
+      mean_stddev(result.fold_scores);
   return result;
 }
 

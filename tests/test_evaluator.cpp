@@ -175,11 +175,12 @@ TEST(GraphEvaluator, CacheKeySensitivity) {
   EXPECT_EQ(base, GraphEvaluator::cache_key(d, "spec", cv5, Metric::kRmse));
 }
 
-TEST(GraphEvaluator, TrainBestReturnsFittedPipeline) {
+TEST(GraphEvaluator, RefitBestReturnsFittedPipeline) {
   const auto d = linear_dataset();
   const auto g = small_graph();
   GraphEvaluator evaluator{EvalOptions{}};
-  Pipeline best = evaluator.train_best(g, d, KFold(5));
+  const auto report = evaluator.evaluate(g, d, KFold(5));
+  Pipeline best = GraphEvaluator::refit_best(g, report, d);
   EXPECT_TRUE(best.is_fitted());
   const auto pred = best.predict(d.X);
   EXPECT_LT(rmse(d.y, pred), 0.2);

@@ -16,6 +16,7 @@
 #include "src/ml/naive_bayes.h"
 #include "src/ml/random_forest.h"
 #include "src/ml/scalers.h"
+#include "src/obs/metrics.h"
 #include "src/util/random.h"
 
 namespace coda {
@@ -311,6 +312,32 @@ TEST(NestedCv, ProducesPerFoldWinnersAndHonestScores) {
   // The outer (honest) estimate should not be dramatically better than the
   // inner selection score — selection bias goes the other way.
   EXPECT_GT(result.mean_score, 0.5 * result.mean_inner_score);
+}
+
+TEST(NestedCv, RunsEachInnerSearchOnce) {
+  RegressionConfig cfg;
+  cfg.n_samples = 96;
+  cfg.n_features = 3;
+  cfg.n_informative = 2;
+  const auto d = make_regression(cfg);
+  TEGraph g;
+  std::vector<std::unique_ptr<Transformer>> scalers;
+  scalers.push_back(std::make_unique<StandardScaler>());
+  scalers.push_back(std::make_unique<NoOp>());
+  g.add_feature_scalers(std::move(scalers));
+  std::vector<std::unique_ptr<Estimator>> models;
+  models.push_back(std::make_unique<LinearRegression>());
+  models.push_back(std::make_unique<DecisionTreeRegressor>());
+  g.add_regression_models(std::move(models));
+  const std::size_t candidates = g.enumerate_candidates().size();
+
+  EvalOptions config;  // no cache: every inner fold is computed
+  config.threads = 1;
+  const auto& folds = obs::counter("eval.candidate.folds");
+  const std::uint64_t before = folds.value();
+  (void)nested_cross_validate(g, d, KFold(4), KFold(3), config);
+  // One inner search per outer fold; the winner is refit from its report.
+  EXPECT_EQ(folds.value() - before, 4u * candidates * 3u);
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ TEST(ForecastGraphEvaluator, CacheSecondRunFree) {
   EXPECT_DOUBLE_EQ(second.best().mean_score, first.best().mean_score);
 }
 
-TEST(ForecastGraphEvaluator, TrainBestForecasts) {
+TEST(ForecastGraphEvaluator, RefitBestForecasts) {
   const auto series = small_series();
   ForecastSpec spec;
   spec.history = 12;
@@ -158,7 +158,8 @@ TEST(ForecastGraphEvaluator, TrainBestForecasts) {
 
   ForecastGraphEvaluator evaluator{EvalOptions{}};
   TimeSeriesSlidingSplit cv(2, 80, 20, 5);
-  auto best = evaluator.train_best(g, series, cv);
+  const auto report = evaluator.evaluate(g, series, cv);
+  auto best = ForecastGraphEvaluator::refit_best(g, report, series);
   EXPECT_TRUE(std::isfinite(best.forecast_next(series)));
 }
 

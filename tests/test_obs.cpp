@@ -194,40 +194,56 @@ TEST(Histogram, RegistryBoundsOnlyApplyAtCreation) {
   EXPECT_DOUBLE_EQ(h.bounds()[1], 10.0);
 }
 
-TEST(Tracer, ScopedSpansNestParentChild) {
-  Tracer tracer(16);
+TEST(Tracer, TracedRegionsNestParentChild) {
+  Tracer& tracer = Tracer::instance();
+  tracer.clear();
   EXPECT_EQ(Tracer::current_span(), 0u);
   std::uint64_t outer_id = 0;
   std::uint64_t inner_id = 0;
+  double outer_seconds = 0.0;
   {
-    ScopedSpan outer("outer", tracer);
-    outer_id = outer.id();
+    Region outer(region_id<"test.obs.outer">(), kTraced);
+    outer_id = outer.context().parent_span_id;
     EXPECT_EQ(Tracer::current_span(), outer_id);
     {
-      ScopedSpan inner("inner", tracer);
-      inner_id = inner.id();
+      const Region inner(region_id<"test.obs.inner">(), kTraced);
+      inner_id = inner.context().parent_span_id;
       EXPECT_EQ(Tracer::current_span(), inner_id);
     }
     EXPECT_EQ(Tracer::current_span(), outer_id);
+    // Region, span and caller share one elapsed reading.
+    outer_seconds = outer.stop();
   }
   EXPECT_EQ(Tracer::current_span(), 0u);
 
   const auto spans = tracer.snapshot();
   ASSERT_EQ(spans.size(), 2u);
   // Inner finishes first, so it is recorded first.
-  EXPECT_EQ(spans[0].name, "inner");
+  EXPECT_EQ(spans[0].name, "test.obs.inner");
   EXPECT_EQ(spans[0].id, inner_id);
   EXPECT_EQ(spans[0].parent_id, outer_id);
-  EXPECT_EQ(spans[1].name, "outer");
+  EXPECT_EQ(spans[1].name, "test.obs.outer");
   EXPECT_EQ(spans[1].parent_id, 0u);
+  EXPECT_EQ(spans[1].duration_seconds, outer_seconds);
   EXPECT_GE(spans[1].duration_seconds, spans[0].duration_seconds);
   EXPECT_LE(spans[1].start_seconds, spans[0].start_seconds);
+}
+
+TEST(Tracer, UntracedRegionRecordsNoSpan) {
+  Tracer::instance().clear();
+  {
+    Region region(region_id<"test.obs.untraced">());
+    EXPECT_EQ(region.context().parent_span_id, Tracer::current_span());
+    region.tag("ignored", "1");
+  }
+  EXPECT_TRUE(Tracer::instance().snapshot().empty());
 }
 
 TEST(Tracer, RingBufferOverwritesOldestAndCountsDrops) {
   Tracer tracer(4);
   for (int i = 0; i < 10; ++i) {
-    ScopedSpan span("s" + std::to_string(i), tracer);
+    tracer.record_span("s" + std::to_string(i), TraceContext{}, "",
+                       ClockDomain::kSteady, 0.0, 0.0);
   }
   EXPECT_EQ(tracer.recorded(), 10u);
   EXPECT_EQ(tracer.dropped(), 6u);
@@ -257,15 +273,15 @@ TEST(EventLog, FreeFunctionStampsAmbientTraceSpanAndNode) {
   EventLog::instance().clear();
   {
     const NodeScope node_scope("client7");
-    ScopedSpan span("test.obs.event.span");
+    const Region span(region_id<"test.obs.event.span">(), kTraced);
     event(Severity::kWarn, "test.obs.event",
           {{"key", "value"}, {"n", "3"}});
     const auto events = EventLog::instance().snapshot();
     ASSERT_EQ(events.size(), 1u);
     const Event& e = events[0];
     EXPECT_EQ(e.severity, Severity::kWarn);
-    EXPECT_EQ(e.trace_id, span.trace_id());
-    EXPECT_EQ(e.span_id, span.id());
+    EXPECT_EQ(e.trace_id, span.context().trace_id);
+    EXPECT_EQ(e.span_id, span.context().parent_span_id);
     EXPECT_EQ(e.node, "client7");
     EXPECT_GE(e.seconds, 0.0);
     ASSERT_EQ(e.fields.size(), 2u);
@@ -388,7 +404,7 @@ TEST(Export, SnapshotJsonIsWellFormedAndContainsMetrics) {
   counter("test.obs.json.counter").inc(7);
   gauge("test.obs.json.gauge").set(-2.5);
   histogram("test.obs.json.hist", {1.0, 2.0}).observe(1.5);
-  { ScopedSpan span("test.obs.json.span"); }
+  { const Region span(region_id<"test.obs.json.span">(), kTraced); }
 
   const std::string json = snapshot_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
@@ -425,7 +441,7 @@ TEST(Export, SnapshotJsonIncludesCandidateCostsAndEventStats) {
 }
 
 TEST(Export, TraceRingStatsAreExportedAsMetrics) {
-  { ScopedSpan span("test.obs.ringstats"); }
+  { const Region span(region_id<"test.obs.ringstats">(), kTraced); }
   EXPECT_GT(counter("obs.trace.recorded").value(), 0u);
   const std::string json = snapshot_json();
   EXPECT_NE(json.find("\"obs.trace.recorded\""), std::string::npos);
@@ -433,7 +449,7 @@ TEST(Export, TraceRingStatsAreExportedAsMetrics) {
 }
 
 TEST(Obs, ResetAllClearsTracerEventsCostsAndIdSources) {
-  { ScopedSpan span("test.obs.resetall.span"); }
+  { const Region span(region_id<"test.obs.resetall.span">(), kTraced); }
   event(Severity::kInfo, "test.obs.resetall.event");
   CandidateCosts::instance().record_fold("p", 0.1);
   ASSERT_FALSE(Tracer::instance().snapshot().empty());
@@ -448,9 +464,9 @@ TEST(Obs, ResetAllClearsTracerEventsCostsAndIdSources) {
   EXPECT_TRUE(EventLog::instance().snapshot().empty());
   EXPECT_TRUE(CandidateCosts::instance().snapshot().empty());
   // Span/trace id sources restart, so seeded replays get identical ids.
-  ScopedSpan fresh("test.obs.resetall.fresh");
-  EXPECT_EQ(fresh.id(), 1u);
-  EXPECT_EQ(fresh.trace_id(), 1u);
+  const Region fresh(region_id<"test.obs.resetall.fresh">(), kTraced);
+  EXPECT_EQ(fresh.context().parent_span_id, 1u);
+  EXPECT_EQ(fresh.context().trace_id, 1u);
 }
 
 TEST(Registry, ResetZeroesButKeepsReferencesValid) {

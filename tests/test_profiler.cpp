@@ -25,6 +25,9 @@
 #include "src/ml/linear.h"
 #include "src/ml/scalers.h"
 #include "src/obs/obs.h"
+#include "src/ts/forecast_graph.h"
+#include "src/ts/nn_forecasters.h"
+#include "src/ts/windowing.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer_wheel.h"
 
@@ -292,6 +295,56 @@ TEST(Profiler, GemmRateUsesTimedFlopsOverTimedSeconds) {
                 static_cast<unsigned long long>(timed));
   const std::string report = obs::prof::report();
   EXPECT_NE(report.find(expected), std::string::npos) << report;
+}
+
+// The per-layer nn.* regions account for a neural fit: the regions below
+// eval.fold.fit (nn.train and everything under it) cover >= 95% of its
+// time, and the coda_top view ranks the layer rows without perfbench.
+TEST(Profiler, NeuralFitRegionsAccountForFoldFit) {
+  IndustrialSeriesConfig cfg;
+  cfg.length = 160;
+  const TimeSeries series = make_industrial_series(cfg);
+  ts::ForecastSpec spec;
+  spec.history = 12;
+  ts::ForecastGraph graph(spec);
+  graph.add_scaler(std::make_unique<StandardScaler>());
+  graph.add_windower(std::make_unique<ts::CascadedWindows>(), "cascaded");
+  graph.add_windower(std::make_unique<ts::FlatWindowing>(), "flat");
+  const auto add = [&graph](std::unique_ptr<Estimator> model,
+                            const std::string& windower) {
+    model->set_param("epochs", std::int64_t{4});
+    graph.add_model(std::move(model), windower);
+  };
+  add(std::make_unique<ts::LstmForecaster>(), "cascaded");
+  add(std::make_unique<ts::CnnForecaster>(), "cascaded");
+  add(std::make_unique<ts::DnnForecaster>(), "flat");
+  EvalOptions options;
+  options.threads = 2;
+  obs::prof::reset();
+  (void)ts::ForecastGraphEvaluator(options).evaluate(
+      graph, series, TimeSeriesSlidingSplit(2, 100, 20, 5));
+
+  std::uint64_t fit_ns = 0;
+  std::uint64_t below_ns = 0;
+  for (const auto& path : obs::prof::merged_paths()) {
+    const std::size_t n = path.path.size();
+    if (path.path.back() == "eval.fold.fit") fit_ns += path.total_ns;
+    if (n >= 2 && path.path[n - 2] == "eval.fold.fit") {
+      below_ns += path.total_ns;
+    }
+  }
+  ASSERT_GT(fit_ns, 0u);
+  EXPECT_GE(static_cast<double>(below_ns), 0.95 * static_cast<double>(fit_ns))
+      << below_ns << " of " << fit_ns << " ns";
+
+  const std::string report = obs::prof::report();
+  for (const char* row :
+       {"nn.lstm.fwd", "nn.lstm.bwd", "nn.lstm.gates", "nn.conv1d.fwd",
+        "nn.conv1d.im2col", "nn.conv1d.col2im", "nn.dense.fwd",
+        "nn.dense.bwd", "nn.step", "nn.loss", "nn.optimizer",
+        "nn.batch_gather"}) {
+    EXPECT_NE(report.find(row), std::string::npos) << row << "\n" << report;
+  }
 }
 
 TEST(Profiler, ResetLeavesProfilerEmpty) {

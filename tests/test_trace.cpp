@@ -3,8 +3,8 @@
 // compute, darr client ops, repository work, and every network transfer
 // (including retries across a healed partition) all reachable from that
 // client's "eval.run" root span — and the Chrome trace-event export of
-// such a run must be valid JSON with one process per simulated node. A
-// span and the profiler region of the same scope carry one name.
+// such a run must be valid JSON with one process per simulated node. Every
+// steady-clock span is the span half of a profiler region of its name.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -23,6 +23,9 @@
 #include "src/ml/linear.h"
 #include "src/ml/scalers.h"
 #include "src/obs/obs.h"
+#include "src/ts/forecast_graph.h"
+#include "src/ts/nn_forecasters.h"
+#include "src/ts/windowing.h"
 
 namespace coda {
 namespace {
@@ -146,42 +149,61 @@ TEST(Trace, CooperativeSearchYieldsOneConnectedTreePerTrace) {
 // One name per scope: a span and the profiler region its scope opens
 // share a name, and the retired spellings (`evaluator.*`, `darr.lookup*`)
 // appear neither as spans nor as registered metrics.
-TEST(Trace, SpansShareTheirProfilerRegionNames) {
-  obs::reset_all();
-  (void)darr::run_cooperative_search(graph(), dataset(), KFold(3),
-                                     Metric::kRmse, 2);
-  std::set<std::string> spans;
-  for (const auto& s : obs::Tracer::instance().snapshot()) {
-    spans.insert(s.name);
-  }
+// Every steady-clock span recorded since the last reset is the span half
+// of a Region, so its name is also a profiler-region name.
+std::set<std::string> steady_spans_without_region() {
   std::set<std::string> regions;
   for (const auto& r : obs::prof::region_table()) regions.insert(r.name);
-  const auto starts = [](const std::string& name, const char* prefix) {
-    return name.rfind(prefix, 0) == 0;
-  };
-  const auto retired = [&starts](const std::string& name) {
-    return starts(name, "evaluator.") ||
+  std::set<std::string> missing;
+  for (const auto& s : obs::Tracer::instance().snapshot()) {
+    if (s.clock == obs::ClockDomain::kSteady && !regions.count(s.name)) {
+      missing.insert(s.name);
+    }
+  }
+  return missing;
+}
+
+bool has_span(const std::string& name) {
+  for (const auto& s : obs::Tracer::instance().snapshot()) {
+    if (s.name == name) return true;
+  }
+  return false;
+}
+
+TEST(Trace, SpansShareTheirProfilerRegionNames) {
+  const auto retired = [](const std::string& name) {
+    return name.rfind("evaluator.", 0) == 0 ||
            name.find("darr.lookup") != std::string::npos;
   };
 
-  // Every DARR client op and the engine's run / candidate / fold scopes
-  // open a span under their region's name...
-  for (const std::string& region : regions) {
-    if (starts(region, "darr.client.")) {
-      EXPECT_TRUE(spans.count(region)) << "region without span: " << region;
-    }
+  // A Fig-2 cooperative search: eval.* and darr.* spans.
+  obs::reset_all();
+  (void)darr::run_cooperative_search(graph(), dataset(), KFold(3),
+                                     Metric::kRmse, 2);
+  EXPECT_TRUE(has_span("eval.run"));
+  EXPECT_TRUE(has_span("darr.client.claim"));
+  EXPECT_EQ(steady_spans_without_region(), std::set<std::string>{});
+  for (const auto& s : obs::Tracer::instance().snapshot()) {
+    EXPECT_FALSE(retired(s.name)) << "retired span name: " << s.name;
   }
-  for (const char* scope : {"eval.run", "eval.candidate", "eval.fold"}) {
-    EXPECT_TRUE(regions.count(scope)) << scope;
-    EXPECT_TRUE(spans.count(scope)) << scope;
-  }
-  // ...and no span of those families carries a name of its own.
-  for (const std::string& span : spans) {
-    if (starts(span, "darr.client.") || starts(span, "eval.")) {
-      EXPECT_TRUE(regions.count(span)) << "span without region: " << span;
-    }
-    EXPECT_FALSE(retired(span)) << "retired span name: " << span;
-  }
+
+  // A forecast search over neural models: nn.train spans as well.
+  obs::reset_all();
+  IndustrialSeriesConfig cfg;
+  cfg.length = 140;
+  const TimeSeries series = make_industrial_series(cfg);
+  ts::ForecastSpec spec;
+  spec.history = 12;
+  ts::ForecastGraph forecast(spec);
+  forecast.add_scaler(std::make_unique<StandardScaler>());
+  forecast.add_windower(std::make_unique<ts::CascadedWindows>(), "cascaded");
+  auto lstm = std::make_unique<ts::LstmForecaster>();
+  lstm->set_param("epochs", std::int64_t{2});
+  forecast.add_model(std::move(lstm), "cascaded");
+  (void)ts::ForecastGraphEvaluator(EvalOptions{}).evaluate(
+      forecast, series, TimeSeriesSlidingSplit(2, 80, 20, 5));
+  EXPECT_TRUE(has_span("nn.train"));
+  EXPECT_EQ(steady_spans_without_region(), std::set<std::string>{});
 
   const auto& registry = obs::MetricsRegistry::instance();
   for (const auto& [name, value] : registry.counter_values()) {
@@ -215,9 +237,9 @@ TEST(Trace, RetrySpansAcrossHealedPartitionStayParented) {
   std::uint64_t root_trace = 0;
   {
     const obs::NodeScope node_scope("client0");
-    obs::ScopedSpan root("test.pull");
-    root_id = root.id();
-    root_trace = root.trace_id();
+    const obs::Region root(obs::region_id<"test.pull">(), obs::kTraced);
+    root_id = root.context().parent_span_id;
+    root_trace = root.context().trace_id;
     const auto result =
         dist::transfer_with_retry(net, client, repo, 64, policy, "pull");
     EXPECT_TRUE(result.ok());

@@ -1,7 +1,10 @@
-// Kernel-layer baseline (DESIGN.md §11): blocked/register-tiled GEMM vs the
-// naive triple loops it replaced. The artifact table reports GFLOP/s and
-// speedup per shape — the committed BENCH_kernels.json pins these numbers
-// so later changes to src/core/kernels.cpp have a diffable anchor. The
+// Kernel-layer baseline (DESIGN.md §11): the GEMM kernels vs the naive
+// triple loops they replaced, at square shapes and at the shapes the
+// forecaster fits and ml/linalg issue. The artifact table reports GFLOP/s
+// per shape for the naive loops and for every dispatch target the host
+// supports — the committed BENCH_kernels.json (stamped with the selected
+// target) pins these numbers so later changes to the kernel layer have a
+// diffable anchor. The
 // naive reference is inlined from kernels.h into this TU, so it is measured
 // exactly as the pre-kernel code was compiled (the library's default -O2,
 // not the kernel layer's -O3).
@@ -28,7 +31,7 @@ std::vector<double> random_buffer(std::size_t size, Rng& rng) {
   return out;
 }
 
-// Times `fn` by repeating it until ~0.3s of wall clock has elapsed and
+// Times `fn` by repeating it until ~0.15s of wall clock has elapsed and
 // returns seconds per call.
 template <typename Fn>
 double time_call(Fn&& fn) {
@@ -37,47 +40,120 @@ double time_call(Fn&& fn) {
   do {
     fn();
     ++iters;
-  } while (total.elapsed_seconds() < 0.3);
+  } while (total.elapsed_seconds() < 0.15);
   return total.elapsed_seconds() / static_cast<double>(iters);
 }
 
+enum class Orient { kNN, kTN, kNT };
+
+struct Case {
+  const char* use;
+  Orient orient;
+  Shape s;
+};
+
+// The square and tall shapes of the original table, then the shapes the
+// forecaster fits issue (LSTM with H = 16 at batch 32 over 24 steps, the
+// conv1d layers) and ml/linalg's normal equations.
+const std::vector<Case> kCases = {
+    {"square", Orient::kNN, {64, 64, 64}},
+    {"square", Orient::kNN, {128, 128, 128}},
+    {"square", Orient::kNN, {256, 256, 256}},
+    {"deep k", Orient::kNN, {96, 80, 512}},
+    {"tall", Orient::kNN, {512, 33, 129}},
+    {"lstm recurrent H=16", Orient::kNN, {32, 64, 16}},
+    {"lstm recurrent H=32", Orient::kNN, {32, 128, 32}},
+    {"lstm recurrent H=64", Orient::kNN, {32, 256, 64}},
+    {"lstm gate", Orient::kNN, {768, 64, 16}},
+    {"lstm gate, 2 inputs", Orient::kNN, {768, 64, 2}},
+    {"conv forward", Orient::kNN, {768, 16, 32}},
+    {"lstm dWh", Orient::kTN, {16, 64, 736}},
+    {"conv dW", Orient::kTN, {32, 16, 768}},
+    {"lstm dh", Orient::kNT, {32, 16, 64}},
+    {"conv dX", Orient::kNT, {768, 32, 16}},
+    {"linalg XtX", Orient::kTN, {8, 8, 240}},
+    {"linalg Xty", Orient::kTN, {8, 1, 240}},
+};
+
+const char* orient_name(Orient o) {
+  return o == Orient::kNN ? "nn" : o == Orient::kTN ? "tn" : "nt";
+}
+
+// One call of the naive reference (naive = true) or the kernel in the
+// case's orientation. A is m x k (NN, NT) or k x m (TN); B is k x n
+// (NN, TN) or n x k (NT).
+void run_case(const Case& cs, bool naive, const double* a, const double* b,
+              double* c) {
+  const auto [m, n, k] = cs.s;
+  switch (cs.orient) {
+    case Orient::kNN:
+      return naive ? kernels::reference::gemm_nn(m, n, k, a, k, b, n, c, n)
+                   : kernels::gemm_nn(m, n, k, a, k, b, n, c, n);
+    case Orient::kTN:
+      return naive ? kernels::reference::gemm_tn(m, n, k, a, m, b, n, c, n)
+                   : kernels::gemm_tn(m, n, k, a, m, b, n, c, n);
+    case Orient::kNT:
+      return naive ? kernels::reference::gemm_nt(m, n, k, a, k, b, k, c, n)
+                   : kernels::gemm_nt(m, n, k, a, k, b, k, c, n);
+  }
+}
+
 void print_gemm_table() {
-  std::printf("=== kernel layer: blocked GEMM vs naive reference ===\n\n");
+  namespace kd = kernels::detail;
+  const kd::Target selected = kd::active_target();
+  std::vector<kd::Target> targets;
+  for (const kd::Target t : kd::kTargets) {
+    if (kd::supported(t)) targets.push_back(t);
+  }
+  std::printf("=== kernel layer: GEMM GF/s, naive reference vs each dispatch "
+              "target (selected: %s) ===\n\n",
+              kd::target_name(selected));
+  bench::record_tag("target", kd::target_name(selected));
+  std::vector<std::string> header = {"use", "op", "m x n x k", "naive"};
+  std::vector<int> widths = {-20, 3, -12, 7};
+  for (const kd::Target t : targets) {
+    header.push_back(kd::target_name(t));
+    widths.push_back(7);
+  }
+  header.push_back("speedup");
+  widths.push_back(8);
   Rng rng(42);
   std::vector<std::vector<std::string>> rows;
-  for (const Shape& s : std::vector<Shape>{{64, 64, 64},
-                                           {128, 128, 128},
-                                           {256, 256, 256},
-                                           {96, 80, 512},
-                                           {512, 33, 129}}) {
-    const auto a = random_buffer(s.m * s.k, rng);
-    const auto b = random_buffer(s.k * s.n, rng);
-    std::vector<double> c(s.m * s.n, 0.0);
-    const double flops = 2.0 * static_cast<double>(s.m) *
-                         static_cast<double>(s.n) * static_cast<double>(s.k);
-
-    const double naive_s = time_call([&] {
-      kernels::reference::gemm_nn(s.m, s.n, s.k, a.data(), s.k, b.data(),
-                                  s.n, c.data(), s.n);
-    });
-    const double kernel_s = time_call([&] {
-      kernels::gemm_nn(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, c.data(),
-                       s.n);
-    });
-    const double naive_gfs = flops / naive_s / 1e9;
-    const double kernel_gfs = flops / kernel_s / 1e9;
-    const std::string label = std::to_string(s.m) + "x" + std::to_string(s.n) +
-                              "x" + std::to_string(s.k);
-    rows.push_back({label, bench::fmt(naive_gfs, 2), bench::fmt(kernel_gfs, 2),
-                    bench::fmt(naive_s / kernel_s, 2) + "x"});
-    bench::record_entry("gemm_nn_naive_" + label, naive_s, naive_gfs, "GF/s");
-    bench::record_entry("gemm_nn_kernel_" + label, kernel_s, kernel_gfs,
-                        "GF/s");
+  for (const Case& cs : kCases) {
+    const auto [m, n, k] = cs.s;
+    const auto a = random_buffer(m * k, rng);
+    const auto b = random_buffer(k * n, rng);
+    std::vector<double> c(m * n, 0.0);
+    const double flops = 2.0 * static_cast<double>(m) *
+                         static_cast<double>(n) * static_cast<double>(k);
+    const std::string label = std::to_string(m) + "x" + std::to_string(n) +
+                              "x" + std::to_string(k);
+    const std::string op = orient_name(cs.orient);
+    const double naive_s =
+        time_call([&] { run_case(cs, true, a.data(), b.data(), c.data()); });
+    bench::record_entry("gemm_" + op + "_naive_" + label, naive_s,
+                        flops / naive_s / 1e9, "GF/s");
+    std::vector<std::string> row = {cs.use, op, label,
+                                    bench::fmt(flops / naive_s / 1e9, 2)};
+    double selected_s = naive_s;
+    for (const kd::Target t : targets) {
+      kd::use_target(t);
+      const double s = time_call(
+          [&] { run_case(cs, false, a.data(), b.data(), c.data()); });
+      row.push_back(bench::fmt(flops / s / 1e9, 2));
+      const std::string name = kd::target_name(t);
+      bench::record_entry("gemm_" + op + "_kernel_" + name + "_" + label, s,
+                          flops / s / 1e9, "GF/s");
+      if (t == selected) selected_s = s;
+    }
+    kd::use_target(selected);
+    row.push_back(bench::fmt(naive_s / selected_s, 2) + "x");
+    rows.push_back(std::move(row));
   }
-  bench::print_table({"shape", "naive GF/s", "kernel GF/s", "speedup"}, rows,
-                     {-12, 12, 12, 9});
-  std::printf("\n(naive = the exact pre-kernel scalar loops, compiled at "
-              "this binary's default optimization level)\n\n");
+  bench::print_table(header, rows, widths);
+  std::printf("\n(GF/s; naive = the exact pre-kernel scalar loops, compiled "
+              "at this binary's default optimization level; speedup = "
+              "selected target over naive)\n\n");
 }
 
 void BM_GemmNN(benchmark::State& state) {

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -118,6 +119,17 @@ inline std::vector<BenchEntry>& bench_entries() {
   return entries;
 }
 
+/// Top-level string fields of the baseline file (e.g. the GEMM dispatch
+/// target the numbers were taken on), in recording order.
+inline std::vector<std::pair<std::string, std::string>>& bench_tags() {
+  static std::vector<std::pair<std::string, std::string>> tags;
+  return tags;
+}
+
+inline void record_tag(const std::string& key, const std::string& value) {
+  bench_tags().emplace_back(key, value);
+}
+
 inline Stopwatch& bench_run_timer() {
   static Stopwatch timer;
   return timer;
@@ -212,6 +224,9 @@ inline std::string json_number(double v) {
 
 inline std::string bench_baseline_json() {
   std::string out = "{\n  \"bench\": \"" + bench_name() + "\",\n";
+  for (const auto& [key, value] : bench_tags()) {
+    out += "  \"" + key + "\": \"" + value + "\",\n";
+  }
   out += "  \"wall_seconds\": " +
          json_number(bench_run_timer().elapsed_seconds()) + ",\n";
   out += "  \"entries\": [";

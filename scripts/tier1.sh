@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate (ROADMAP.md): plain build + full test suite, the kernel and
-# NN suites in a -march=native build, every tsan-labelled suite again
-# under thread sanitizer, every test_* suite under
-# address+undefined-behaviour sanitizers, and the bench regression gate.
+# Tier-1 gate (ROADMAP.md): plain build + full test suite (the kernel and
+# NN suites run once per GEMM dispatch target the host supports), every
+# tsan-labelled suite again under thread sanitizer, every test_* suite
+# under address+undefined-behaviour sanitizers, and the bench regression
+# gate.
 # A chaos failure prints the fault schedule (seed, drop rate,
 # partition/crash windows) to replay.
 #
@@ -33,14 +34,6 @@ ctest --test-dir build -L search --output-on-failure
 
 echo "== tier 1: Chrome trace export + span-tree invariants =="
 scripts/trace_check.sh build
-
-# The kernels compiled with -march=native must stay bit-identical to the
-# reference: the kernel and NN suites again, in a -DCODA_NATIVE_ARCH=ON
-# build that builds only them.
-echo "== tier 1: kernel + NN suites with -DCODA_NATIVE_ARCH=ON =="
-cmake -B build-native -S . -DCODA_NATIVE_ARCH=ON >/dev/null
-cmake --build build-native -j"$(nproc)" --target test_kernels test_nn
-ctest --test-dir build-native -R '^test_(kernels|nn)$' --output-on-failure
 
 # Every suite labelled `tsan` in tests/CMakeLists.txt (the chaos, executor,
 # plan-differential, profiler, fleet, telemetry and trace suites, among

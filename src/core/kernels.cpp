@@ -1,24 +1,26 @@
 #include "src/core/kernels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "src/core/gemm_tile.h"
 #include "src/obs/obs.h"
-#include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
 
 namespace coda::kernels {
 namespace {
 
-// Register-tile shape: kMr rows of C by kNr columns held in accumulators
-// across a k panel (8x12 won an empirical sweep on the CI machine, with
-// 6x12 a close second; several neighboring shapes — 4x16, 6x8, 6x16, 8x8 —
-// fall off a vectorization cliff to well below the naive loops, so change
-// with care and re-run bench_kernels).
+// The blocked path, for NN/TN calls whose B is too large for the register
+// tile in gemm_tile.cpp (see use_tile). Its tile shape: kMr rows of C by
+// kNr columns held in accumulators across a k panel (8x12 won an empirical
+// sweep on the CI machine, with 6x12 a close second; several neighboring
+// shapes — 4x16, 6x8, 6x16, 8x8 — fall off a vectorization cliff to well
+// below the naive loops, so change with care and re-run bench_kernels).
 constexpr std::size_t kMr = 8;
 constexpr std::size_t kNr = 12;
 // Panel sizes: each packed kKc x kNr strip of B (~36KB) stays L1-resident
@@ -27,9 +29,7 @@ constexpr std::size_t kNr = 12;
 constexpr std::size_t kKc = 384;
 constexpr std::size_t kNc = 240;
 
-// Below this many flops (2*m*n*k) a GEMM is not worth a clock read, let
-// alone a thread handoff.
-constexpr std::size_t kTimedFlops = 1u << 20;
+// Below this many flops (2*m*n*k) a GEMM is not worth a thread handoff.
 constexpr std::size_t kParallelFlops = 4u << 20;
 
 double apply_epilogue(double v, const double* bias_tile, std::size_t j,
@@ -196,163 +196,12 @@ void gemm_block(std::size_t m0, std::size_t m1, std::size_t n, std::size_t k,
   }
 }
 
-// Blocked driver identical to gemm_block, but consuming a B packed once by
-// pack_b_matrix() instead of packing per call. The (jc, pc) panel walk and
-// per-panel strip layout match pack_b_matrix exactly, so every micro-kernel
-// sees the same packed bytes gemm_block would have produced.
-void gemm_block_packed(std::size_t m0, std::size_t m1, const PackedB& b,
-                       const double* a, std::size_t a_i, std::size_t a_k,
-                       double* c, std::size_t ldc, const Epilogue& ep) {
-  const std::size_t n = b.n;
-  const std::size_t k = b.k;
-  thread_local std::vector<double> apacked;
-  apacked.resize(kKc * kMr);
-  double* const apack = apacked.data();
-  std::size_t col_base = 0;
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nc = std::min(kNc, n - jc);
-    const std::size_t tiles = (nc + kNr - 1) / kNr;
-    for (std::size_t pc = 0; pc < k; pc += kKc) {
-      const std::size_t kc = std::min(kKc, k - pc);
-      const bool final_panel = pc + kc == k;
-      const double* bpack = b.data.data() + col_base + tiles * kNr * pc;
-      for (std::size_t i0 = m0; i0 < m1; i0 += kMr) {
-        const std::size_t mr = std::min(kMr, m1 - i0);
-        pack_a(a + i0 * a_i + pc * a_k, a_i, a_k, mr, kc, apack);
-        for (std::size_t j0 = 0; j0 < nc; j0 += kNr) {
-          const std::size_t nr = std::min(kNr, nc - j0);
-          const double* bp = bpack + (j0 / kNr) * kc * kNr;
-          double* ct = c + i0 * ldc + jc + j0;
-          const double* bias_tile = ep.bias ? ep.bias + jc + j0 : nullptr;
-          if (mr == kMr && nr == kNr) {
-            micro_full(apack, bp, ct, ldc, kc, final_panel, ep, bias_tile);
-          } else {
-            micro_edge(apack, bp, ct, ldc, mr, nr, kc, final_panel, ep,
-                       bias_tile);
-          }
-        }
-      }
-    }
-    col_base += tiles * kNr * k;
-  }
-}
+// The tile reads B in place once per 4-row block of C, so it wins while B
+// stays cache-resident (48K doubles = 384 KB); larger B operands take the
+// blocked path, which packs B once per panel.
+constexpr std::size_t kTileMaxB = 48 * 1024;  // doubles of B
 
-// NN driver over Bᵀ packed contiguous (bt row j = column j of B), for
-// shapes that fit a single (jc, pc) panel. Each output element seeds its
-// accumulator from C and adds products in ascending k — the exact chain the
-// blocked driver produces when k <= kKc, so the two are bit-identical
-// there. With both operands read contiguously the 4-wide dot chains beat
-// the pack-per-call strip path at the small operand sizes the NN layers
-// emit (measured ~8 vs ~6 GFLOP/s portable).
-void gemm_nn_bt_block(std::size_t m0, std::size_t m1, std::size_t n,
-                      std::size_t k, const double* a, std::size_t lda,
-                      const double* bt, double* c, std::size_t ldc,
-                      const Epilogue& ep) {
-  for (std::size_t i = m0; i < m1; ++i) {
-    const double* __restrict ar = a + i * lda;
-    double* __restrict crow = c + i * ldc;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* __restrict b0 = bt + j * k;
-      const double* __restrict b1 = bt + (j + 1) * k;
-      const double* __restrict b2 = bt + (j + 2) * k;
-      const double* __restrict b3 = bt + (j + 3) * k;
-      double s0 = crow[j], s1 = crow[j + 1], s2 = crow[j + 2],
-             s3 = crow[j + 3];
-      for (std::size_t l = 0; l < k; ++l) {
-        const double av = ar[l];
-        s0 += av * b0[l];
-        s1 += av * b1[l];
-        s2 += av * b2[l];
-        s3 += av * b3[l];
-      }
-      if (ep.active()) {
-        crow[j] = apply_epilogue(s0, ep.bias, j, ep.act);
-        crow[j + 1] = apply_epilogue(s1, ep.bias, j + 1, ep.act);
-        crow[j + 2] = apply_epilogue(s2, ep.bias, j + 2, ep.act);
-        crow[j + 3] = apply_epilogue(s3, ep.bias, j + 3, ep.act);
-      } else {
-        crow[j] = s0;
-        crow[j + 1] = s1;
-        crow[j + 2] = s2;
-        crow[j + 3] = s3;
-      }
-    }
-    for (; j < n; ++j) {
-      const double* __restrict brow = bt + j * k;
-      double s = crow[j];
-      for (std::size_t l = 0; l < k; ++l) s += ar[l] * brow[l];
-      crow[j] = ep.active() ? apply_epilogue(s, ep.bias, j, ep.act) : s;
-    }
-  }
-}
-
-// Transposes B (k x n, ldb) into contiguous Bᵀ rows for gemm_nn_bt_block.
-void pack_bt(const double* b, std::size_t ldb, std::size_t k, std::size_t n,
-             double* __restrict bt) {
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t l = 0; l < k; ++l) bt[j * k + l] = b[l * ldb + j];
-  }
-}
-
-// The Bᵀ dot-chain path is bit-identical to the blocked driver only while
-// the whole reduction is one k panel; one jc block keeps the transpose
-// scratch bounded.
-bool use_bt_path(std::size_t n, std::size_t k) {
-  return k <= kKc && n <= kNc;
-}
-
-// NT driver over the row range [m0, m1): C(i,j) += dot(A row i, B row j).
-// Both rows are contiguous in k, so the kernel unrolls 4 independent dot
-// chains per A row; each chain reduces in ascending k order.
-template <bool Accumulate>
-void gemm_nt_block(std::size_t m0, std::size_t m1, std::size_t n,
-                   std::size_t k, const double* a, std::size_t lda,
-                   const double* b, std::size_t ldb, double* c,
-                   std::size_t ldc, const Epilogue& ep) {
-  for (std::size_t i = m0; i < m1; ++i) {
-    const double* __restrict ar = a + i * lda;
-    double* __restrict crow = c + i * ldc;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* __restrict b0 = b + j * ldb;
-      const double* __restrict b1 = b + (j + 1) * ldb;
-      const double* __restrict b2 = b + (j + 2) * ldb;
-      const double* __restrict b3 = b + (j + 3) * ldb;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t l = 0; l < k; ++l) {
-        const double av = ar[l];
-        s0 += av * b0[l];
-        s1 += av * b1[l];
-        s2 += av * b2[l];
-        s3 += av * b3[l];
-      }
-      const double c0 = Accumulate ? crow[j] : 0.0;
-      const double c1 = Accumulate ? crow[j + 1] : 0.0;
-      const double c2 = Accumulate ? crow[j + 2] : 0.0;
-      const double c3 = Accumulate ? crow[j + 3] : 0.0;
-      if (ep.active()) {
-        crow[j] = apply_epilogue(c0 + s0, ep.bias, j, ep.act);
-        crow[j + 1] = apply_epilogue(c1 + s1, ep.bias, j + 1, ep.act);
-        crow[j + 2] = apply_epilogue(c2 + s2, ep.bias, j + 2, ep.act);
-        crow[j + 3] = apply_epilogue(c3 + s3, ep.bias, j + 3, ep.act);
-      } else {
-        crow[j] = c0 + s0;
-        crow[j + 1] = c1 + s1;
-        crow[j + 2] = c2 + s2;
-        crow[j + 3] = c3 + s3;
-      }
-    }
-    for (; j < n; ++j) {
-      const double* __restrict brow = b + j * ldb;
-      double s = 0.0;
-      for (std::size_t l = 0; l < k; ++l) s += ar[l] * brow[l];
-      const double base = Accumulate ? crow[j] : 0.0;
-      crow[j] = ep.active() ? apply_epilogue(base + s, ep.bias, j, ep.act)
-                            : base + s;
-    }
-  }
-}
+bool use_tile(std::size_t n, std::size_t k) { return n * k <= kTileMaxB; }
 
 // Lazily created pool for large shapes; null on single-core machines so
 // small boxes never pay thread-handoff costs. Row-wise partitioning keeps
@@ -387,9 +236,6 @@ void parallel_rows(std::size_t m, std::size_t flops, Fn&& fn) {
 struct GemmCounters {
   obs::Counter& calls = obs::counter("kernel.gemm.calls");
   obs::Counter& flops = obs::counter("kernel.gemm.flops");
-  // The flops of the calls `seconds` times (those >= kTimedFlops): the
-  // numerator that matches it in a derived GF/s rate.
-  obs::Counter& timed_flops = obs::counter("kernel.gemm.timed_flops");
   obs::Histogram& seconds = obs::histogram("kernel.gemm.seconds");
 };
 
@@ -398,21 +244,17 @@ GemmCounters& counters() {
   return c;
 }
 
+// Every call, empty ones included, is one `kernel.gemm` region whose
+// seconds also feed `kernel.gemm.seconds`.
 template <typename Run>
 void instrumented(std::size_t m, std::size_t n, std::size_t k, Run&& run) {
   GemmCounters& c = counters();
   const std::size_t flops = 2 * m * n * k;
   c.calls.inc();
   c.flops.inc(flops);
-  if (m == 0 || n == 0 || k == 0) return;
-  if (flops >= kTimedFlops) {
-    Stopwatch timer;
-    run(flops);
-    c.seconds.observe(timer.elapsed_seconds());
-    c.timed_flops.inc(flops);
-  } else {
-    run(flops);
-  }
+  obs::Region region(obs::region_id<"kernel.gemm">());
+  if (m > 0 && n > 0 && k > 0) run(flops);
+  c.seconds.observe(region.stop());
 }
 
 void check_shapes(const Matrix& a, const Matrix& b, const Matrix& c,
@@ -440,111 +282,137 @@ double activate(double v, Activation act) {
   return v;
 }
 
-void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc, const Epilogue& ep) {
+namespace detail {
+
+const char* target_name(Target t) {
+  switch (t) {
+    case Target::kAvx512:
+      return "avx512";
+    case Target::kAvx2:
+      return "avx2";
+    case Target::kSse2:
+      break;
+  }
+  return "sse2";
+}
+
+bool supported(Target t) {
+#if defined(CODA_TILE_X86)
+  __builtin_cpu_init();
+  switch (t) {
+    case Target::kAvx512:
+      return __builtin_cpu_supports("x86-64-v4");
+    case Target::kAvx2:
+      return __builtin_cpu_supports("x86-64-v3");
+    case Target::kSse2:
+      break;
+  }
+#endif
+  return t == Target::kSse2;
+}
+
+namespace {
+
+std::atomic<Target>& target_slot() {
+  static std::atomic<Target> slot{[] {
+    Target best = Target::kSse2;
+    for (const Target t : kTargets) {
+      if (supported(t)) best = t;
+    }
+    return best;
+  }()};
+  return slot;
+}
+
+}  // namespace
+
+Target active_target() {
+  return target_slot().load(std::memory_order_relaxed);
+}
+
+Target use_target(Target t) {
+  require(supported(t), std::string("kernels::detail::use_target: ") +
+                            target_name(t) + " is not supported here");
+  return target_slot().exchange(t, std::memory_order_relaxed);
+}
+
+}  // namespace detail
+
+namespace {
+
+// The active target's copy of the tile, over the rows [m0, m1) of `g`.
+void run_tile(tile::Gemm g, std::size_t m0, std::size_t m1) {
+  g.m0 = m0;
+  g.m1 = m1;
+  switch (detail::active_target()) {
+#if defined(CODA_TILE_X86)
+    case detail::Target::kAvx512:
+      return tile::run_avx512(g);
+    case detail::Target::kAvx2:
+      return tile::run_avx2(g);
+#endif
+    default:
+      return tile::run_sse2(g);
+  }
+}
+
+// NN and TN: the tile, unless B is too large to stream from cache once per
+// row block; then the blocked 8x12 path packs it.
+void gemm_nn_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                std::size_t a_i, std::size_t a_k, const double* b,
+                std::size_t ldb, double* c, std::size_t ldc,
+                const Epilogue& ep) {
   instrumented(m, n, k, [&](std::size_t flops) {
-    if (use_bt_path(n, k)) {
-      thread_local std::vector<double> btv;
-      btv.resize(n * k);
-      pack_bt(b, ldb, k, n, btv.data());
-      const double* bt = btv.data();
-      parallel_rows(m, flops, [&, bt](std::size_t m0, std::size_t m1) {
-        gemm_nn_bt_block(m0, m1, n, k, a, lda, bt, c, ldc, ep);
+    if (use_tile(n, k)) {
+      const tile::Gemm g{0, m, n, k, a, a_i, a_k, b, ldb, c, ldc,
+                         tile::Start::kFromC, ep};
+      parallel_rows(m, flops, [&g](std::size_t m0, std::size_t m1) {
+        run_tile(g, m0, m1);
       });
       return;
     }
     parallel_rows(m, flops, [&](std::size_t m0, std::size_t m1) {
-      gemm_block(m0, m1, n, k, a, /*a_i=*/lda, /*a_k=*/1, b, ldb, c, ldc, ep);
+      gemm_block(m0, m1, n, k, a, a_i, a_k, b, ldb, c, ldc, ep);
     });
   });
+}
+
+}  // namespace
+
+void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
+             std::size_t lda, const double* b, std::size_t ldb, double* c,
+             std::size_t ldc, const Epilogue& ep) {
+  gemm_nn_tn(m, n, k, a, /*a_i=*/lda, /*a_k=*/1, b, ldb, c, ldc, ep);
 }
 
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc, const Epilogue& ep) {
-  instrumented(m, n, k, [&](std::size_t flops) {
-    if (use_bt_path(n, k)) {
-      // Aᵀ rows (columns of the stored k x m operand) are packed contiguous
-      // alongside Bᵀ; pack_bt's (j, l) walk produces exactly that layout.
-      thread_local std::vector<double> atv;
-      thread_local std::vector<double> btv;
-      atv.resize(m * k);
-      btv.resize(n * k);
-      pack_bt(a, lda, k, m, atv.data());
-      pack_bt(b, ldb, k, n, btv.data());
-      const double* at = atv.data();
-      const double* bt = btv.data();
-      parallel_rows(m, flops, [&, at, bt](std::size_t m0, std::size_t m1) {
-        gemm_nn_bt_block(m0, m1, n, k, at, k, bt, c, ldc, ep);
-      });
-      return;
-    }
-    parallel_rows(m, flops, [&](std::size_t m0, std::size_t m1) {
-      gemm_block(m0, m1, n, k, a, /*a_i=*/1, /*a_k=*/lda, b, ldb, c, ldc, ep);
-    });
-  });
+  gemm_nn_tn(m, n, k, a, /*a_i=*/1, /*a_k=*/lda, b, ldb, c, ldc, ep);
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc, const Epilogue& ep, bool accumulate) {
   instrumented(m, n, k, [&](std::size_t flops) {
-    parallel_rows(m, flops, [&](std::size_t m0, std::size_t m1) {
-      if (accumulate) {
-        gemm_nt_block<true>(m0, m1, n, k, a, lda, b, ldb, c, ldc, ep);
-      } else {
-        gemm_nt_block<false>(m0, m1, n, k, a, lda, b, ldb, c, ldc, ep);
-      }
-    });
-  });
-}
-
-void pack_b_matrix(std::size_t k, std::size_t n, const double* b,
-                   std::size_t ldb, PackedB& out) {
-  require(k > 0 && n > 0, "pack_b_matrix: empty operand");
-  out.k = k;
-  out.n = n;
-  out.transposed = use_bt_path(n, k);
-  if (out.transposed) {
-    out.data.resize(n * k);
-    pack_bt(b, ldb, k, n, out.data.data());
-    return;
-  }
-  std::size_t total = 0;
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nc = std::min(kNc, n - jc);
-    total += ((nc + kNr - 1) / kNr) * kNr * k;
-  }
-  out.data.resize(total);
-  std::size_t col_base = 0;
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nc = std::min(kNc, n - jc);
-    const std::size_t tiles = (nc + kNr - 1) / kNr;
-    for (std::size_t pc = 0; pc < k; pc += kKc) {
-      const std::size_t kc = std::min(kKc, k - pc);
-      pack_b(b + pc * ldb + jc, ldb, kc, nc,
-             out.data.data() + col_base + tiles * kNr * pc);
+    // Bᵀ (k x n) is transposed once per call so the tile reads it row by
+    // row. Each dot product starts at 0 and C is added at the end, the
+    // reference's order.
+    thread_local std::vector<double> bt;
+    bt.resize(k * n);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t l = 0; l < k; ++l) bt[l * n + j] = b[j * ldb + l];
     }
-    col_base += tiles * kNr * k;
-  }
-}
-
-void gemm_nn_packed(std::size_t m, const double* a, std::size_t lda,
-                    const PackedB& b, double* c, std::size_t ldc,
-                    const Epilogue& ep) {
-  require(b.ready(), "gemm_nn_packed: operand not packed");
-  instrumented(m, b.n, b.k, [&](std::size_t flops) {
-    parallel_rows(m, flops, [&](std::size_t m0, std::size_t m1) {
-      if (b.transposed) {
-        gemm_nn_bt_block(m0, m1, b.n, b.k, a, lda, b.data.data(), c, ldc, ep);
-      } else {
-        gemm_block_packed(m0, m1, b, a, /*a_i=*/lda, /*a_k=*/1, c, ldc, ep);
-      }
+    const tile::Gemm g{0, m, n, k, a, /*a_i=*/lda, /*a_k=*/1, bt.data(), n,
+                       c, ldc,
+                       accumulate ? tile::Start::kAddC
+                                  : tile::Start::kOverwrite,
+                       ep};
+    parallel_rows(m, flops, [&g](std::size_t m0, std::size_t m1) {
+      run_tile(g, m0, m1);
     });
   });
 }
-
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c,
                  const Epilogue& ep) {
   require(a.cols() == b.rows(), "matmul_into: inner dimension mismatch");

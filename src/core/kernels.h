@@ -3,30 +3,31 @@
 // ml/linalg normal equations, PCA covariance, Matrix::multiply — routes
 // through this layer instead of per-call-site scalar triple loops.
 //
-// The GEMMs are cache-blocked and register-tiled (8x12 accumulator tiles,
-// 384-deep k panels, A/B panels packed contiguous per block) and written as
-// restrict-pointer loops with constant trip counts so the compiler
-// auto-vectorizes them; src/CMakeLists.txt compiles kernels.cpp at -O3
-// (and -march=native under -DCODA_NATIVE_ARCH).
-// Large shapes are split row-wise across a lazily created util::ThreadPool.
+// The GEMMs the fits issue run one register tile (src/core/gemm_tile.cpp):
+// 4 rows of C by two vector registers of columns, vectorized over n, with
+// B read in place and A read through (row, k) strides so one tile serves
+// NN and TN; NT transposes its small Bᵀ once per call. The tile is
+// compiled for SSE2, AVX2 and AVX-512 and the first GEMM picks the widest
+// copy the CPU runs (detail:: below is the seam tests use to pick
+// another). NN/TN calls whose B exceeds 48K doubles keep the cache-blocked
+// 8x12 packing path. Large shapes are split row-wise across a lazily
+// created util::ThreadPool.
 //
-// Equivalence guarantee: for each output element the reduction over k runs
-// in ascending order, exactly like the naive loops these kernels replaced —
-// k-panel blocking carries the accumulator tile through C between panels
-// and row-wise threading partitions disjoint output rows, so results are
-// independent of blocking factors and thread count. The numerical-
-// equivalence suite (tests/test_kernels.cpp) pins this against the
-// `reference` implementations below across ragged/non-tile-multiple shapes.
+// Equivalence guarantee: for each output element the reduction over k
+// runs in ascending order, exactly like the naive loops these kernels
+// replaced — vector lanes are distinct output columns, the kernel sources
+// build with -ffp-contract=off, the blocked path carries its accumulator
+// tile through C between k panels, and row-wise threading partitions
+// disjoint output rows — so results are independent of target, blocking
+// and thread count. tests/test_kernels.cpp pins this against the
+// `reference` implementations below on every supported target.
 //
-// Observability: `kernel.gemm.calls` / `kernel.gemm.flops` count every GEMM;
-// `kernel.gemm.seconds` records wall time for large calls (small ones skip
-// the clock so per-step overhead stays negligible) and
-// `kernel.gemm.timed_flops` counts those same calls' flops, the numerator
-// of a GF/s rate over `kernel.gemm.seconds`.
+// Observability: `kernel.gemm.calls` / `kernel.gemm.flops` count every
+// GEMM, and every call is one span-free `kernel.gemm` profiler region
+// whose seconds also feed the `kernel.gemm.seconds` histogram.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "src/data/matrix.h"
 
@@ -74,38 +75,6 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc, const Epilogue& ep = {}, bool accumulate = true);
 
-// ---------------------------------------------------------------------------
-// Prepacked B operands. pack_b_matrix() lays B out in the exact panel/strip
-// order gemm_nn's blocked driver consumes, so a weight matrix that several
-// GEMM calls share (e.g. the LSTM recurrent Wh applied at every timestep, or
-// a fused plan feeding one weight to many tiles) is packed once instead of
-// per call. Packing is pure data movement: gemm_nn_packed reproduces
-// gemm_nn's ascending-k reduction order bit for bit.
-// ---------------------------------------------------------------------------
-
-/// A B operand packed into kNr-wide strips, grouped per (jc, pc) panel —
-/// or, for shapes that fit a single panel, packed as contiguous Bᵀ rows for
-/// the dot-chain driver (which beats the strip path at the small operand
-/// sizes the NN layers emit).
-struct PackedB {
-  std::size_t k = 0;
-  std::size_t n = 0;
-  bool transposed = false;
-  std::vector<double> data;
-
-  bool ready() const { return k > 0 && n > 0; }
-};
-
-/// Packs the k x n matrix `b` (leading dimension ldb) into `out`.
-void pack_b_matrix(std::size_t k, std::size_t n, const double* b,
-                   std::size_t ldb, PackedB& out);
-
-/// C (m x n, ldc) += A (m x k, lda) · B, with B prepacked by
-/// pack_b_matrix(). Bit-identical to gemm_nn on the unpacked operand.
-void gemm_nn_packed(std::size_t m, const double* a, std::size_t lda,
-                    const PackedB& b, double* c, std::size_t ldc,
-                    const Epilogue& ep = {});
-
 // Matrix-level conveniences (accumulate into `c`, which must be presized).
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c,
                  const Epilogue& ep = {});
@@ -133,6 +102,34 @@ double dot(std::size_t n, const double* x, const double* y);
 /// out[j] += sum_i a(i, j) for a row-major m x n matrix (bias gradients).
 void col_sums_add(std::size_t m, std::size_t n, const double* a,
                   std::size_t lda, double* out);
+
+// ---------------------------------------------------------------------------
+// Dispatch targets of the GEMM tile. Every GEMM runs the widest target the
+// host supports, chosen once at the first call; tests and bench_kernels
+// reach the others through this seam.
+// ---------------------------------------------------------------------------
+namespace detail {
+
+enum class Target : unsigned char { kSse2, kAvx2, kAvx512 };
+
+/// Every target, narrowest first.
+inline constexpr Target kTargets[] = {Target::kSse2, Target::kAvx2,
+                                      Target::kAvx512};
+
+/// "sse2" (the portable copy off x86), "avx2" or "avx512".
+const char* target_name(Target t);
+
+/// True when this build has the target's copy and the host can run it.
+bool supported(Target t);
+
+/// The target GEMMs dispatch to now.
+Target active_target();
+
+/// Routes every later GEMM, on every thread, to `t` (which must be
+/// supported) and returns the target it replaces.
+Target use_target(Target t);
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Naive reference implementations: the exact pre-kernel scalar loops, kept

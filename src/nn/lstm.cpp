@@ -56,12 +56,7 @@ Matrix Lstm::forward(const Matrix& input, bool) {
   }
   kernels::gemm_nn(n * seq_len, 4 * H, input_size_, input.ptr(), input_size_,
                    wx_.value.ptr(), 4 * H, z_.ptr(), 4 * H);
-  // The recurrent projection stays sequential (h_t depends on h_{t-1}), but
-  // Wh is packed once here and reused by every timestep's GEMM.
-  if (seq_len > 1) {
-    kernels::pack_b_matrix(H, 4 * H, wh_.value.ptr(), 4 * H, wh_packed_);
-  }
-
+  // The recurrent projection stays sequential (h_t depends on h_{t-1}).
   for (std::size_t t = 0; t < seq_len; ++t) {
     StepCache& s = steps_[t];
     s.i.reshape(n, H);
@@ -76,8 +71,8 @@ Matrix Lstm::forward(const Matrix& input, bool) {
     // recurrent contribution accumulates in place. At t = 0 the previous
     // hidden state is all zero, so its GEMM is skipped outright.
     if (t > 0) {
-      kernels::gemm_nn_packed(n, steps_[t - 1].h.ptr(), H, wh_packed_,
-                              z_.ptr() + t * 4 * H, seq_len * 4 * H);
+      kernels::gemm_nn(n, 4 * H, H, steps_[t - 1].h.ptr(), H, wh_.value.ptr(),
+                       4 * H, z_.ptr() + t * 4 * H, seq_len * 4 * H);
     }
 
     const Matrix* c_prev = t > 0 ? &steps_[t - 1].c : nullptr;

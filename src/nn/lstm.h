@@ -4,7 +4,6 @@
 // (N x H) or the full hidden sequence (N x T*H) for stacking.
 #pragma once
 
-#include "src/core/kernels.h"
 #include "src/nn/layer.h"
 #include "src/util/random.h"
 
@@ -62,7 +61,6 @@ class Lstm final : public Layer {
   Matrix x_rev_;
   Matrix dz_rev_;
   Matrix h_rev_;
-  kernels::PackedB wh_packed_;  ///< recurrent weights packed once per forward
 };
 
 }  // namespace coda::nn

@@ -93,9 +93,9 @@ std::string folded();
 void write_folded(const std::string& path);
 
 /// Human-readable `coda_top` view: the top `max_rows` regions by
-/// (calls desc, name), with calls, self/total time, and — when the
-/// kernel.gemm.{timed_flops,seconds} metrics are non-empty — the derived
-/// GEMM GF/s line (timed flops over timed seconds).
+/// (calls desc, name), with calls, self/total time, and — when
+/// kernel.gemm.{flops,seconds} are non-empty — the derived GEMM GF/s line
+/// (every GEMM's flops over every `kernel.gemm` region's seconds).
 std::string report(std::size_t max_rows = 24);
 
 /// Publishes `node`'s profile as counter increments since the last
@@ -108,6 +108,12 @@ void publish_node(const std::string& node);
 
 /// publish_node() for every node that has profiled work.
 void publish_all();
+
+/// Thread arenas created so far. A thread's arena returns to a free list
+/// when the thread exits and the next thread to profile reuses it, so this
+/// is the peak number of threads that profiled at once, not the number
+/// ever started.
+std::size_t arena_count();
 
 /// True when no region has any recorded calls (e.g. right after reset()).
 bool empty();

@@ -1,14 +1,16 @@
 // Numerical-equivalence suite for the shared compute kernels (DESIGN.md
-// §11). The blocked/tiled GEMMs must match the naive reference loops they
-// replaced — bit-for-bit in the NN/TN orientations (ascending-k guarantee),
-// and to tight tolerance in NT, whose 4-way dot chains reassociate. The
-// golden loss-curve tests at the bottom pin the entire training hot path:
-// the curves were captured from the pre-kernel implementation at fixed
-// seeds, and the kernel-backed layers reproduce them exactly.
+// §11). The GEMMs must match the naive reference loops they replaced bit
+// for bit in all three orientations (each output element is one
+// ascending-k reduction), on every dispatch target the host supports: the
+// KernelsOnTarget and GoldenCurves suites run once per target. The golden
+// loss-curve tests at the bottom pin the entire training hot path: the
+// curves were captured from the pre-kernel implementation at fixed seeds,
+// and the kernel-backed layers reproduce them exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,7 +25,9 @@
 #include "src/nn/sequential.h"
 #include "src/nn/trainer.h"
 #include "src/obs/metrics.h"
+#include "src/util/error.h"
 #include "src/util/random.h"
+#include "tests/kernel_targets.h"
 
 namespace coda {
 namespace {
@@ -32,14 +36,21 @@ struct Shape {
   std::size_t m, n, k;
 };
 
-// Ragged shapes chosen to exercise every edge of the blocking: single
-// rows/cols, sub-tile sizes, non-multiples of the 8x12 register tile, and
-// k/n large enough to cross the 384-deep k panels and 240-wide column
-// panels (so the accumulator-carry path between panels is covered).
+// Shapes chosen to exercise every edge of both paths: single rows/cols,
+// sub-tile sizes and non-multiples of every target's register tile
+// (including the narrow n the tile finishes with halving vector widths),
+// shapes that cross the blocked path's 384-deep k panels and 240-wide
+// column panels, and the shapes the forecaster fits and ml/linalg issue.
 const std::vector<Shape> kShapes = {
-    {1, 1, 1},   {1, 7, 3},    {5, 1, 9},     {8, 12, 4},
-    {7, 13, 17}, {13, 29, 31}, {64, 64, 64},  {61, 67, 129},
-    {3, 5, 500}, {9, 260, 40}, {130, 250, 70}};
+    {1, 1, 1},     {1, 7, 3},     {5, 1, 9},     {8, 12, 4},
+    {7, 13, 17},   {13, 29, 31},  {64, 64, 64},  {61, 67, 129},
+    {3, 5, 500},   {9, 260, 40},  {130, 250, 70},
+    // The fit shapes.
+    {32, 64, 16},  {768, 64, 2},  {768, 64, 16}, {768, 16, 32},
+    {16, 64, 736}, {32, 16, 768}, {32, 16, 64},  {768, 32, 16},
+    // Narrow n, and ml/linalg's X^T y.
+    {9, 1, 5},     {9, 2, 7},     {13, 15, 9},   {13, 17, 9},
+    {11, 63, 5},   {11, 65, 5},   {8, 1, 240}};
 
 std::vector<double> random_buffer(std::size_t size, std::uint64_t seed) {
   Rng rng(seed);
@@ -57,7 +68,25 @@ double max_abs_diff(const std::vector<double>& a,
   return worst;
 }
 
-TEST(Kernels, GemmNnBitIdenticalToReference) {
+class KernelsOnTarget : public OnEachTarget {};
+CODA_ON_EACH_TARGET(KernelsOnTarget);
+
+TEST(Kernels, DispatchesToTheWidestSupportedTarget) {
+  namespace kd = kernels::detail;
+  kd::Target widest = kd::Target::kSse2;
+  for (const kd::Target t : kd::kTargets) {
+    if (kd::supported(t)) widest = t;
+  }
+  EXPECT_TRUE(kd::supported(kd::Target::kSse2));
+  EXPECT_EQ(kd::active_target(), widest);
+  for (const kd::Target t : kd::kTargets) {
+    if (!kd::supported(t)) {
+      EXPECT_THROW(kd::use_target(t), Error);
+    }
+  }
+}
+
+TEST_P(KernelsOnTarget, GemmNnBitIdenticalToReference) {
   for (const auto& s : kShapes) {
     const auto a = random_buffer(s.m * s.k, 11 + s.m);
     const auto b = random_buffer(s.k * s.n, 23 + s.n);
@@ -73,7 +102,7 @@ TEST(Kernels, GemmNnBitIdenticalToReference) {
   }
 }
 
-TEST(Kernels, GemmTnBitIdenticalToReference) {
+TEST_P(KernelsOnTarget, GemmTnBitIdenticalToReference) {
   for (const auto& s : kShapes) {
     const auto a = random_buffer(s.k * s.m, 41 + s.m);  // stored k x m
     const auto b = random_buffer(s.k * s.n, 43 + s.n);
@@ -88,10 +117,9 @@ TEST(Kernels, GemmTnBitIdenticalToReference) {
   }
 }
 
-TEST(Kernels, GemmNtMatchesReferenceWithinTolerance) {
-  // NT accumulates each dot product in 4 independent chains, so results can
-  // differ from the strictly sequential reference by reassociation only —
-  // bounded far below 1e-12 at these magnitudes.
+TEST_P(KernelsOnTarget, GemmNtBitIdenticalToReference) {
+  // Each dot product runs in ascending k from 0 and is added to C at the
+  // end, exactly as the reference does.
   for (const auto& s : kShapes) {
     const auto a = random_buffer(s.m * s.k, 53 + s.m);
     const auto b = random_buffer(s.n * s.k, 59 + s.n);  // stored n x k
@@ -101,52 +129,109 @@ TEST(Kernels, GemmNtMatchesReferenceWithinTolerance) {
                                 c_ref.data(), s.n);
     kernels::gemm_nt(s.m, s.n, s.k, a.data(), s.k, b.data(), s.k,
                      c_ker.data(), s.n);
-    EXPECT_LT(max_abs_diff(c_ref, c_ker), 1e-12)
+    EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0)
         << "shape " << s.m << "x" << s.n << "x" << s.k;
   }
 }
 
-TEST(Kernels, GemmHandlesStridedLeadingDimensions) {
-  // Operate on an interior submatrix of larger row-major buffers — the
+TEST_P(KernelsOnTarget, GemmHandlesStridedLeadingDimensions) {
+  // Operate on interior submatrices of larger row-major buffers — the
   // layout the Lstm uses for per-timestep slices of a flattened batch.
+  // Both paths write the same buffer, so a stray write outside the m x n
+  // window (including the gap columns) shows as a difference.
   const std::size_t m = 9, n = 14, k = 21;
   const std::size_t lda = k + 5, ldb = n + 3, ldc = n + 7;
-  const auto a = random_buffer(m * lda, 71);
-  const auto b = random_buffer(k * ldb, 73);
-  auto c_ref = random_buffer(m * ldc, 79);
-  auto c_ker = c_ref;
+  const auto a = random_buffer(std::max(m, k) * lda, 71);
+  const auto b = random_buffer(std::max(n, k) * ldb, 73);
+  const auto c0 = random_buffer(m * ldc, 79);
+
+  auto c_ref = c0;
+  auto c_ker = c0;
   kernels::reference::gemm_nn(m, n, k, a.data() + 2, lda, b.data() + 1, ldb,
                               c_ref.data() + 3, ldc);
   kernels::gemm_nn(m, n, k, a.data() + 2, lda, b.data() + 1, ldb,
                    c_ker.data() + 3, ldc);
-  EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0);
-  // Bytes outside the m x n window (including the gap columns) untouched —
-  // both paths wrote the same buffer, so any stray write would differ from
-  // the reference copy only if the kernel strayed.
+  EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0) << "nn";
+
+  // TN: A stored k x m with lda >= m.
+  c_ref = c0;
+  c_ker = c0;
+  kernels::reference::gemm_tn(m, n, k, a.data() + 2, lda, b.data() + 1, ldb,
+                              c_ref.data() + 3, ldc);
+  kernels::gemm_tn(m, n, k, a.data() + 2, lda, b.data() + 1, ldb,
+                   c_ker.data() + 3, ldc);
+  EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0) << "tn";
+
+  // NT: B stored n x k with ldb >= k.
+  const std::size_t ldbt = k + 4;
+  const auto bt = random_buffer(n * ldbt, 75);
+  c_ref = c0;
+  c_ker = c0;
+  kernels::reference::gemm_nt(m, n, k, a.data() + 2, lda, bt.data() + 1,
+                              ldbt, c_ref.data() + 3, ldc);
+  kernels::gemm_nt(m, n, k, a.data() + 2, lda, bt.data() + 1, ldbt,
+                   c_ker.data() + 3, ldc);
+  EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0) << "nt";
 }
 
-TEST(Kernels, FusedEpilogueMatchesSeparatePasses) {
+TEST_P(KernelsOnTarget, GemmNtOverwriteEqualsAccumulateIntoZeros) {
+  // accumulate = false ignores C's old contents: the result is 0.0 + s.
+  for (const auto& s : kShapes) {
+    const auto a = random_buffer(s.m * s.k, 151 + s.m);
+    const auto b = random_buffer(s.n * s.k, 157 + s.n);
+    std::vector<double> c_ref(s.m * s.n, 0.0);
+    auto c_ker = random_buffer(s.m * s.n, 163 + s.k);
+    kernels::reference::gemm_nt(s.m, s.n, s.k, a.data(), s.k, b.data(), s.k,
+                                c_ref.data(), s.n);
+    kernels::gemm_nt(s.m, s.n, s.k, a.data(), s.k, b.data(), s.k,
+                     c_ker.data(), s.n, {}, /*accumulate=*/false);
+    EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0)
+        << "shape " << s.m << "x" << s.n << "x" << s.k;
+  }
+}
+
+TEST_P(KernelsOnTarget, FusedEpilogueMatchesSeparatePasses) {
+  // C = act(C + A·B + bias) in one write-back must equal the reference
+  // GEMM followed by a separate bias + activation pass, in every
+  // orientation; n = 19 leaves a ragged edge on every target's tile.
   const std::size_t m = 17, n = 19, k = 23;
-  const auto a = random_buffer(m * k, 83);
-  const auto b = random_buffer(k * n, 89);
+  const auto a = random_buffer(m * k, 83);   // m x k, or k x m for TN
+  const auto b = random_buffer(k * n, 89);   // k x n, or n x k for NT
+  const auto c0 = random_buffer(m * n, 91);
   const auto bias = random_buffer(n, 97);
   for (const auto act :
        {kernels::Activation::kNone, kernels::Activation::kRelu,
         kernels::Activation::kSigmoid, kernels::Activation::kTanh}) {
-    std::vector<double> c_ref(m * n, 0.0);
-    kernels::reference::gemm_nn(m, n, k, a.data(), k, b.data(), n,
-                                c_ref.data(), n);
-    for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t j = 0; j < n; ++j) {
-        c_ref[r * n + j] =
-            kernels::activate(c_ref[r * n + j] + bias[j], act);
+    const kernels::Epilogue ep{bias.data(), act};
+    for (const char* op : {"nn", "tn", "nt"}) {
+      const std::string o = op;
+      auto c_ref = c0;
+      auto c_ker = c0;
+      if (o == "nn") {
+        kernels::reference::gemm_nn(m, n, k, a.data(), k, b.data(), n,
+                                    c_ref.data(), n);
+        kernels::gemm_nn(m, n, k, a.data(), k, b.data(), n, c_ker.data(), n,
+                         ep);
+      } else if (o == "tn") {
+        kernels::reference::gemm_tn(m, n, k, a.data(), m, b.data(), n,
+                                    c_ref.data(), n);
+        kernels::gemm_tn(m, n, k, a.data(), m, b.data(), n, c_ker.data(), n,
+                         ep);
+      } else {
+        kernels::reference::gemm_nt(m, n, k, a.data(), k, b.data(), k,
+                                    c_ref.data(), n);
+        kernels::gemm_nt(m, n, k, a.data(), k, b.data(), k, c_ker.data(), n,
+                         ep);
       }
+      for (std::size_t r = 0; r < m; ++r) {
+        for (std::size_t j = 0; j < n; ++j) {
+          c_ref[r * n + j] =
+              kernels::activate(c_ref[r * n + j] + bias[j], act);
+        }
+      }
+      EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0)
+          << op << ", activation " << static_cast<int>(act);
     }
-    std::vector<double> c_ker(m * n, 0.0);
-    kernels::gemm_nn(m, n, k, a.data(), k, b.data(), n, c_ker.data(), n,
-                     kernels::Epilogue{bias.data(), act});
-    EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0)
-        << "activation " << static_cast<int>(act);
   }
 }
 
@@ -319,7 +404,10 @@ void expect_curve(const std::vector<double>& got,
   }
 }
 
-TEST(GoldenCurves, MlpTrainingTrajectoryUnchanged) {
+class GoldenCurves : public OnEachTarget {};
+CODA_ON_EACH_TARGET(GoldenCurves);
+
+TEST_P(GoldenCurves, MlpTrainingTrajectoryUnchanged) {
   const std::vector<double> kMlpCurve = {
       2.1588932135995602, 2.1164740181241992, 2.0780803628048683,
       2.0416285617351924, 1.9954383476071815};
@@ -336,7 +424,7 @@ TEST(GoldenCurves, MlpTrainingTrajectoryUnchanged) {
   expect_curve(nn::train(net, X, y, loss, opt, golden_config()), kMlpCurve);
 }
 
-TEST(GoldenCurves, MlpFusedActivationSameTrajectory) {
+TEST_P(GoldenCurves, MlpFusedActivationSameTrajectory) {
   // Same net built with fused Dense+ReLU: the curve must not move.
   const std::vector<double> kMlpCurve = {
       2.1588932135995602, 2.1164740181241992, 2.0780803628048683,
@@ -352,7 +440,7 @@ TEST(GoldenCurves, MlpFusedActivationSameTrajectory) {
   expect_curve(nn::train(net, X, y, loss, opt, golden_config()), kMlpCurve);
 }
 
-TEST(GoldenCurves, LstmTrainingTrajectoryUnchanged) {
+TEST_P(GoldenCurves, LstmTrainingTrajectoryUnchanged) {
   const std::vector<double> kLstmCurve = {
       3.1077053433626851, 3.0607513860691675, 3.0343934417377016,
       3.1205801196977521, 3.039978021742773};
@@ -367,7 +455,7 @@ TEST(GoldenCurves, LstmTrainingTrajectoryUnchanged) {
                kLstmCurve);
 }
 
-TEST(GoldenCurves, CnnTrainingTrajectoryUnchanged) {
+TEST_P(GoldenCurves, CnnTrainingTrajectoryUnchanged) {
   const std::vector<double> kCnnCurve = {
       6.0761647602117455, 6.4745732692710449, 6.4938155530214194,
       6.6255002295169403, 6.143166803338417};

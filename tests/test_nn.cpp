@@ -2,6 +2,8 @@
 // difference gradient check applied to every layer type — the strongest
 // correctness evidence for hand-written backprop (Dense, activations,
 // Conv1D with dilation, MaxPool1D, LSTM with BPTT, SliceLastTimestep).
+// The gradient checks and the training tests run once per GEMM dispatch
+// target the host supports (tests/kernel_targets.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +20,7 @@
 #include "src/nn/slice.h"
 #include "src/nn/trainer.h"
 #include "src/util/random.h"
+#include "tests/kernel_targets.h"
 
 namespace coda::nn {
 namespace {
@@ -80,13 +83,16 @@ void check_gradients(Layer& layer, const Matrix& X, double tolerance = 1e-5) {
   }
 }
 
-TEST(GradCheck, Dense) {
+class GradCheck : public OnEachTarget {};
+CODA_ON_EACH_TARGET(GradCheck);
+
+TEST_P(GradCheck, Dense) {
   Rng rng(1);
   Dense layer(4, 3, 7);
   check_gradients(layer, random_matrix(5, 4, rng));
 }
 
-TEST(GradCheck, ReLU) {
+TEST_P(GradCheck, ReLU) {
   Rng rng(2);
   ReLU layer;
   // Nudge inputs away from the kink at 0.
@@ -97,56 +103,56 @@ TEST(GradCheck, ReLU) {
   check_gradients(layer, X);
 }
 
-TEST(GradCheck, TanhLayer) {
+TEST_P(GradCheck, TanhLayer) {
   Rng rng(3);
   Tanh layer;
   check_gradients(layer, random_matrix(4, 5, rng));
 }
 
-TEST(GradCheck, SigmoidLayer) {
+TEST_P(GradCheck, SigmoidLayer) {
   Rng rng(4);
   Sigmoid layer;
   check_gradients(layer, random_matrix(4, 5, rng));
 }
 
-TEST(GradCheck, Conv1DCausal) {
+TEST_P(GradCheck, Conv1DCausal) {
   Rng rng(5);
   Conv1D layer(/*in=*/2, /*out=*/3, /*kernel=*/3, /*dilation=*/1,
                /*causal=*/true, 11);
   check_gradients(layer, random_matrix(3, 8 * 2, rng));
 }
 
-TEST(GradCheck, Conv1DDilated) {
+TEST_P(GradCheck, Conv1DDilated) {
   Rng rng(6);
   Conv1D layer(2, 2, 2, /*dilation=*/2, /*causal=*/true, 13);
   check_gradients(layer, random_matrix(2, 6 * 2, rng));
 }
 
-TEST(GradCheck, Conv1DValid) {
+TEST_P(GradCheck, Conv1DValid) {
   Rng rng(7);
   Conv1D layer(1, 2, 3, 1, /*causal=*/false, 17);
   check_gradients(layer, random_matrix(2, 7, rng));
 }
 
-TEST(GradCheck, MaxPool1D) {
+TEST_P(GradCheck, MaxPool1D) {
   Rng rng(8);
   MaxPool1D layer(/*channels=*/2, /*pool=*/2);
   check_gradients(layer, random_matrix(3, 8 * 2, rng));
 }
 
-TEST(GradCheck, SliceLastTimestep) {
+TEST_P(GradCheck, SliceLastTimestep) {
   Rng rng(9);
   SliceLastTimestep layer(3);
   check_gradients(layer, random_matrix(2, 4 * 3, rng));
 }
 
-TEST(GradCheck, LstmLastHidden) {
+TEST_P(GradCheck, LstmLastHidden) {
   Rng rng(10);
   Lstm layer(/*input=*/2, /*hidden=*/3, /*return_sequences=*/false, 19);
   check_gradients(layer, random_matrix(2, 4 * 2, rng), 1e-4);
 }
 
-TEST(GradCheck, LstmReturnSequences) {
+TEST_P(GradCheck, LstmReturnSequences) {
   Rng rng(11);
   Lstm layer(2, 2, /*return_sequences=*/true, 23);
   check_gradients(layer, random_matrix(2, 3 * 2, rng), 1e-4);
@@ -269,7 +275,10 @@ TEST(Optimizer, AdamConvergesOnQuadratic) {
   EXPECT_NEAR(w.value(0, 0), 1.5, 1e-3);
 }
 
-TEST(Sequential, TrainsLinearRegressionToLowLoss) {
+class SequentialOnTarget : public OnEachTarget {};
+CODA_ON_EACH_TARGET(SequentialOnTarget);
+
+TEST_P(SequentialOnTarget, TrainsLinearRegressionToLowLoss) {
   // y = 2x - 1 with a single Dense layer.
   Rng rng(21);
   Matrix X(64, 1);
@@ -290,7 +299,7 @@ TEST(Sequential, TrainsLinearRegressionToLowLoss) {
   EXPECT_LT(history.back(), history.front());
 }
 
-TEST(Sequential, NonlinearFitBeatsLinear) {
+TEST_P(SequentialOnTarget, NonlinearFitBeatsLinear) {
   // y = sin(3x): a ReLU MLP must clearly beat the best linear fit.
   Rng rng(22);
   Matrix X(128, 1);
@@ -314,7 +323,7 @@ TEST(Sequential, NonlinearFitBeatsLinear) {
   EXPECT_LT(history.back(), 0.02);  // linear best is ~0.2+
 }
 
-TEST(Sequential, CopyIsDeep) {
+TEST_P(SequentialOnTarget, CopyIsDeep) {
   Sequential net;
   net.emplace<Dense>(2, 2, 3);
   Sequential copy = net;
@@ -324,7 +333,7 @@ TEST(Sequential, CopyIsDeep) {
             net.parameters()[0]->value(0, 0));
 }
 
-TEST(Sequential, ParameterCount) {
+TEST_P(SequentialOnTarget, ParameterCount) {
   Sequential net;
   net.emplace<Dense>(3, 4, 1);  // 12 + 4
   net.emplace<ReLU>();

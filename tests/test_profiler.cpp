@@ -271,10 +271,9 @@ TEST(Profiler, SerialFleetHotPathTableReproduces) {
   EXPECT_TRUE(saw_candidate);
 }
 
-// The coda_top GEMM rate divides the flops of the timed calls by their
-// seconds: GEMMs below the timing threshold count in kernel.gemm.flops but
-// in neither side of the rate.
-TEST(Profiler, GemmRateUsesTimedFlopsOverTimedSeconds) {
+// Every GEMM call is one `kernel.gemm` region feeding kernel.gemm.seconds,
+// so the coda_top GEMM rate divides all flops by all region seconds.
+TEST(Profiler, GemmRateUsesAllFlopsOverRegionSeconds) {
   obs::reset_all();
   Matrix small(16, 16);
   Matrix big(96, 96);
@@ -282,19 +281,44 @@ TEST(Profiler, GemmRateUsesTimedFlopsOverTimedSeconds) {
   big.fill(1.0);
   for (int i = 0; i < 50; ++i) (void)kernels::matmul(small, small);
   for (int i = 0; i < 3; ++i) (void)kernels::matmul(big, big);
-  const std::uint64_t big_flops = 3ull * 2 * 96 * 96 * 96;
-  const std::uint64_t timed = obs::counter("kernel.gemm.timed_flops").value();
-  EXPECT_EQ(timed, big_flops);
-  EXPECT_EQ(obs::counter("kernel.gemm.flops").value(),
-            big_flops + 50ull * 2 * 16 * 16 * 16);
-  const double seconds = obs::histogram("kernel.gemm.seconds").sum();
-  ASSERT_GT(seconds, 0.0);
+  const std::uint64_t flops =
+      3ull * 2 * 96 * 96 * 96 + 50ull * 2 * 16 * 16 * 16;
+  EXPECT_EQ(obs::counter("kernel.gemm.flops").value(), flops);
+  const obs::Histogram& seconds = obs::histogram("kernel.gemm.seconds");
+  EXPECT_EQ(seconds.count(), 53u);
+  std::uint64_t region_calls = 0;
+  std::uint64_t region_ns = 0;
+  for (const auto& stat : obs::prof::region_table()) {
+    if (stat.name != "kernel.gemm") continue;
+    region_calls = stat.calls;
+    region_ns = stat.total_ns;
+  }
+  EXPECT_EQ(region_calls, 53u);
+  ASSERT_GT(seconds.sum(), 0.0);
+  EXPECT_NEAR(seconds.sum(), static_cast<double>(region_ns) * 1e-9, 1e-6);
   char expected[96];
   std::snprintf(expected, sizeof(expected), "kernel.gemm: %.2f GF/s (%llu ",
-                static_cast<double>(timed) / seconds * 1e-9,
-                static_cast<unsigned long long>(timed));
+                static_cast<double>(flops) / seconds.sum() * 1e-9,
+                static_cast<unsigned long long>(flops));
   const std::string report = obs::prof::report();
   EXPECT_NE(report.find(expected), std::string::npos) << report;
+}
+
+// A thread's arena returns to a free list when the thread exits, so
+// threads started one after another share one arena instead of each
+// leaving one behind, and the region totals they recorded are kept.
+TEST(Profiler, ExitedThreadsHandBackTheirArenas) {
+  obs::reset_all();
+  const std::size_t before = obs::prof::arena_count();
+  for (int i = 0; i < 1000; ++i) {
+    std::thread([] { PROF_SCOPE("test.arena_reuse"); }).join();
+  }
+  EXPECT_LE(obs::prof::arena_count(), before + 1);
+  std::uint64_t calls = 0;
+  for (const auto& stat : obs::prof::region_table()) {
+    if (stat.name == "test.arena_reuse") calls = stat.calls;
+  }
+  EXPECT_EQ(calls, 1000u);
 }
 
 // The per-layer nn.* regions account for a neural fit: the regions below

@@ -6,9 +6,10 @@
 //  1. Scheduling — run() validates its arguments, builds a rung plan from
 //     EvalOptions::search (exhaustive = one rung covering every candidate
 //     on every fold) and hands it to the single executor in
-//     search_scheduler.h. Each candidate's folds become tasks on one
-//     ThreadPool, so a slow candidate's folds spread across workers
-//     (Section III: "different predictive models can be run in parallel").
+//     search_scheduler.h. Each candidate's folds become tasks of the
+//     search's TaskGroup on the process-wide executor, so a slow
+//     candidate's folds spread across workers (Section III: "different
+//     predictive models can be run in parallel").
 //  2. Shared-prefix memoization — candidates that share a fitted
 //     transformer prefix (same scaler/selector chain, or the same
 //     scaler+windower pair for forecast paths) fit it once per fold; the
@@ -17,9 +18,9 @@
 //     win for enumerated-pipeline workloads.
 //  3. Cooperation — the DARR lookup/claim/store protocol (Fig 2) runs
 //     through one CooperativeFetch call site. A claim-blocked unit is
-//     re-queued on a TimerWheel instead of parking a worker in a
-//     sleep/poll loop, so threads keep scoring other candidates while a
-//     peer works.
+//     parked on the process-wide TimerWheel instead of holding a thread
+//     in a sleep/poll loop, so threads keep scoring other candidates
+//     while a peer works.
 //
 // Metric families: eval.candidate.{local,cached,failed,deferred,folds,
 // seconds}, eval.claim.{requeued,wait_seconds},
@@ -150,9 +151,11 @@ class CooperativeFetch {
   std::atomic<bool> degraded_{false};
 };
 
-/// The engine. One instance is cheap (it owns no threads); each run()'s
-/// executor spins up its ThreadPool + TimerWheel and tears them down when
-/// the report is complete.
+/// The engine. One instance is cheap, and so is each run(): it owns no
+/// threads. A run submits its tasks as one TaskGroup to the process-wide
+/// executor (ThreadPool::shared(), with TimerWheel::shared() for parked
+/// units) and runs them on the calling thread too until the report is
+/// complete.
 class EvalEngine {
  public:
   explicit EvalEngine(EvalOptions options);

@@ -186,7 +186,10 @@ struct SearchOptions {
 /// (GraphEvaluator and ts::ForecastGraphEvaluator).
 struct EvalOptions {
   Metric metric = Metric::kRmse;
-  std::size_t threads = 0;        ///< 0 = hardware concurrency
+  /// The most tasks of one search that run at once on the process-wide
+  /// executor (the search's caller included), and the size of its claim
+  /// window. 0 = the executor's size (hardware concurrency).
+  std::size_t threads = 0;
   ResultCache* cache = nullptr;   ///< optional cooperation hook
   int claim_wait_ms = 2000;       ///< max wait before computing locally
   /// Byte budget of the engine's shared-prefix memo (fitted transformer

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <future>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/core/gemm_tile.h"
@@ -203,34 +200,30 @@ constexpr std::size_t kTileMaxB = 48 * 1024;  // doubles of B
 
 bool use_tile(std::size_t n, std::size_t k) { return n * k <= kTileMaxB; }
 
-// Lazily created pool for large shapes; null on single-core machines so
-// small boxes never pay thread-handoff costs. Row-wise partitioning keeps
-// results bit-identical to the single-threaded path (disjoint output rows,
+// Large shapes split by rows into one task group on the calling task's
+// pool (the process-wide executor outside any task). The caller runs the
+// chunks no idle worker has taken, so a split inside a fold finishes even
+// when every worker is busy. Row-wise partitioning keeps results
+// bit-identical to the single-threaded path (disjoint output rows,
 // unchanged per-element reduction order).
-ThreadPool* pool() {
-  static const std::unique_ptr<ThreadPool> p = [] {
-    const unsigned hc = std::thread::hardware_concurrency();
-    return hc > 1 ? std::make_unique<ThreadPool>(hc) : nullptr;
-  }();
-  return p.get();
-}
-
 template <typename Fn>
 void parallel_rows(std::size_t m, std::size_t flops, Fn&& fn) {
-  ThreadPool* p = pool();
-  if (p == nullptr || flops < kParallelFlops || m < 2 * kMr) {
+  if (flops < kParallelFlops || m < 2 * kMr) {
     fn(std::size_t{0}, m);
     return;
   }
-  const std::size_t chunks = std::min<std::size_t>(p->size(), m / kMr);
+  ThreadPool& pool = ThreadPool::current();
+  // One chunk per worker, and at least two: the caller takes a share too.
+  const std::size_t chunks =
+      std::min(std::max<std::size_t>(pool.size(), 2), m / kMr);
   // Round chunk sizes up to the register-tile height.
   const std::size_t chunk = ((m + chunks - 1) / chunks + kMr - 1) / kMr * kMr;
-  std::vector<std::future<void>> futures;
+  TaskGroup group(pool);
   for (std::size_t r0 = 0; r0 < m; r0 += chunk) {
     const std::size_t r1 = std::min(m, r0 + chunk);
-    futures.push_back(p->submit([&fn, r0, r1] { fn(r0, r1); }));
+    group.submit([&fn, r0, r1] { fn(r0, r1); });
   }
-  for (auto& f : futures) f.get();
+  group.wait();
 }
 
 struct GemmCounters {

@@ -10,8 +10,9 @@
 // compiled for SSE2, AVX2 and AVX-512 and the first GEMM picks the widest
 // copy the CPU runs (detail:: below is the seam tests use to pick
 // another). NN/TN calls whose B exceeds 48K doubles keep the cache-blocked
-// 8x12 packing path. Large shapes are split row-wise across a lazily
-// created util::ThreadPool.
+// 8x12 packing path. Large shapes are split row-wise into a TaskGroup on
+// the calling task's pool (the process-wide executor outside any task),
+// and the caller runs the chunks no idle worker has taken.
 //
 // Equivalence guarantee: for each output element the reduction over k
 // runs in ascending order, exactly like the naive loops these kernels

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -16,7 +15,6 @@
 #include "src/obs/obs.h"
 #include "src/util/error.h"
 #include "src/util/thread_pool.h"
-#include "src/util/timer_wheel.h"
 
 namespace coda {
 
@@ -116,9 +114,10 @@ namespace detail {
 namespace {
 
 /// One execution of a rung plan. A unit is one candidate on one rung: it
-/// runs the cooperative claim cycle in attempt(), then fans out one pool
-/// task per fold; the last fold finishes the unit and the last unit of a
-/// rung seals it.
+/// runs the cooperative claim cycle in attempt(), then fans out one task
+/// per fold; the last fold finishes the unit and the last unit of a rung
+/// seals it. Every task belongs to the run's one TaskGroup on the shared
+/// executor, capped at EvalOptions::threads.
 class PlanRun {
  public:
   PlanRun(const EvalOptions& options,
@@ -157,17 +156,18 @@ class PlanRun {
     if (saved > 0) obs::count_scoped("eval.search.fold_evals_saved", saved);
 
     sweep();
-    if (std::any_of(cands_.begin(), cands_.end(),
-                    [](const auto& c) { return !c->swept; })) {
-      pool_.emplace(options_.threads);
-      tokens_ = pool_->size();
-      wheel_.emplace();
-    }
+    ThreadPool& pool = ThreadPool::shared();
+    tokens_ = options_.threads > 0 ? options_.threads : pool.size();
+    // The caller runs the group's queued tasks until the last rung seals.
+    // The group's destructor waits as well, so on every exit path no task
+    // of this run is queued, running or parked when execute() returns.
+    TaskGroup group(pool, tokens_);
+    group_ = &group;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
+      std::lock_guard<std::mutex> lock(mutex_);
       start_rung_locked();
-      done_cv_.wait(lock, [this] { return all_done_; });
     }
+    group.wait();
     publish_survivors();
     report_.fold_evaluations =
         local_fold_evals_.load(std::memory_order_acquire);
@@ -242,11 +242,12 @@ class PlanRun {
     }
   }
 
-  void submit_attempt(std::size_t i) {
-    pool_->submit([this, i] {
+  // One claim-cycle attempt of unit i, as a group task.
+  std::function<void()> attempt_task(std::size_t i) {
+    return [this, i] {
       obs::ContextScope trace_scope(root_ctx_, root_node_);
       attempt(i);
-    });
+    };
   }
 
   // Pops queued units while claim-window slots are free. Caller holds
@@ -257,7 +258,7 @@ class PlanRun {
       unit_queue_.pop_front();
       --tokens_;
       cands_[i]->holds_token = true;
-      submit_attempt(i);
+      group_->submit(attempt_task(i));
     }
   }
 
@@ -295,8 +296,6 @@ class PlanRun {
     const RungSpec& rung = plan_.rungs[rung_index_];
     if (rung_index_ + 1 == plan_.rungs.size()) {
       for (const std::size_t i : entrants_) finalize_locked(i);
-      all_done_ = true;
-      done_cv_.notify_all();
       return;
     }
     std::vector<std::size_t> order = entrants_;
@@ -425,7 +424,7 @@ class PlanRun {
     const obs::TraceContext fold_ctx = attempt_span.context();
     c.folds_left.store(rung.folds(), std::memory_order_release);
     for (std::size_t fold = rung.fold_begin; fold < rung.fold_end; ++fold) {
-      pool_->submit([this, i, fold, r, fold_ctx] {
+      group_->submit([this, i, fold, r, fold_ctx] {
         obs::ContextScope trace_scope(fold_ctx, root_node_);
         run_fold(i, fold, r);
       });
@@ -458,10 +457,10 @@ class PlanRun {
                                                       wait);
   }
 
-  // Claim-blocked: park the unit on the timer wheel and let the workers
-  // keep scoring other units. No thread sleeps here. Returns false once
-  // the local-compute deadline has expired: the peer presumably died, so
-  // the unit computes without the claim and the rung always seals.
+  // Claim-blocked: park the unit on the shared timer wheel and let the
+  // group keep scoring other units. No thread sleeps here. Returns false
+  // once the local-compute deadline has expired: the peer presumably died,
+  // so the unit computes without the claim and the rung always seals.
   bool defer(std::size_t i) {
     Cand& c = *cands_[i];
     std::lock_guard<std::mutex> lock(mutex_);
@@ -489,7 +488,7 @@ class PlanRun {
       c.deadline = now + std::chrono::milliseconds(options_.claim_wait_ms);
     }
     obs::count_scoped("eval.claim.requeued");
-    wheel_->schedule(kClaimPoll, [this, i] { submit_attempt(i); });
+    group_->submit_after(kClaimPoll, attempt_task(i));
     return true;
   }
 
@@ -633,8 +632,8 @@ class PlanRun {
   const bool base_keys_;  ///< one-rung plan: units use the plain base key
   const bool maximize_;
   const std::vector<std::size_t> tie_rank_;
-  // Captured for pool/wheel tasks: thread-local parenting does not cross
-  // a submit(), so every task re-installs the root context (and the node
+  // Captured for group tasks: thread-local parenting does not cross a
+  // submit(), so every task re-installs the root context (and the node
   // attribution of the simulated client driving this run).
   obs::TraceContext root_ctx_;
   std::string root_node_;
@@ -645,25 +644,19 @@ class PlanRun {
   std::vector<std::unique_ptr<Cand>> cands_;
   std::atomic<std::size_t> local_fold_evals_{0};
 
+  TaskGroup* group_ = nullptr;  ///< execute()'s group, live while it runs
   std::mutex mutex_;
-  std::condition_variable done_cv_;
-  bool all_done_ = false;
   std::size_t rung_index_ = 0;
   std::vector<std::size_t> entrants_;
   std::size_t outstanding_ = 0;  ///< unresolved units in the current rung
   std::size_t unblocked_ = 0;    ///< unresolved units not claim-blocked
   std::deque<std::size_t> unit_queue_;
-  // Claim window: at most pool-size units are claimed-but-unfinished at
-  // once, so a client claims work just before it has the capacity to
-  // score it — claiming the whole graph up front would starve peers.
+  // Claim window: at most EvalOptions::threads units are
+  // claimed-but-unfinished at once, so a client claims work just before it
+  // has the capacity to score it — claiming the whole graph up front would
+  // starve peers.
   std::size_t tokens_ = 0;
   std::size_t pruned_total_ = 0;
-
-  // Declared last so they are destroyed first: the wheel stops
-  // re-submitting, then the pool joins its workers while everything their
-  // tasks touch is still alive. Built only when some unit has to run.
-  std::optional<ThreadPool> pool_;
-  std::optional<TimerWheel> wheel_;
 };
 
 }  // namespace

@@ -9,12 +9,14 @@
 // full-CV scores. SystemDS (PAPERS.md) treats such pruned enumeration as
 // one resource-aware plan over the candidates. Rungs are not barriers: a
 // survivor's next-rung folds are submitted the moment its rung seals, as
-// continuations on the executor's ThreadPool + TimerWheel.
+// continuations in the search's TaskGroup on the process-wide executor
+// (capped at EvalOptions::threads; the caller runs queued tasks while it
+// waits) and, for claim-blocked units, the process-wide TimerWheel.
 //
 // A unit is one candidate on one rung. It runs the paper's Fig-2 protocol
 // once — look up, claim, defer and requeue while a peer holds the claim
-// (up to a local-compute deadline), compute, publish — with one pool task
-// per fold. It publishes from its own completion, never under the
+// (up to a local-compute deadline), compute, publish — with one task per
+// fold. It publishes from its own completion, never under the
 // executor lock.
 //
 // Determinism (the prune-seal rule): a rung's ranking is a pure function

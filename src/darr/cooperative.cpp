@@ -100,37 +100,28 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
   const std::vector<std::uint64_t> claim_wait_before =
       claim_wait.bucket_counts();
 
+  // n_workers session threads pull client indices in order. One thread
+  // per client (max_parallel_clients == 0) overlaps every session: the
+  // original Fig-2 shape, and what the claim-contention metrics mean. One
+  // thread runs the fleet serially — fully deterministic, which is what
+  // exact bench entries need.
   Stopwatch wall;
   const std::size_t n_workers =
       options.max_parallel_clients == 0
           ? n_clients
           : std::min(options.max_parallel_clients, n_clients);
-  if (n_workers == n_clients) {
-    // One thread per client: every session genuinely overlaps (the
-    // original Fig-2 shape, and what the claim-contention metrics mean).
-    std::vector<std::thread> threads;
-    threads.reserve(n_clients);
-    for (std::size_t i = 0; i < n_clients; ++i) {
-      threads.emplace_back(run_one, i);
-    }
-    for (auto& t : threads) t.join();
-  } else {
-    // Bounded worker pool for fleet-scale runs: n_workers threads pull
-    // client indices in order. n_workers == 1 runs the fleet serially —
-    // fully deterministic, which is what exact bench entries need.
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      workers.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < n_clients;
-             i = next.fetch_add(1)) {
-          run_one(i);
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> workers;
+  workers.reserve(n_workers);
+  for (std::size_t w = 0; w < n_workers; ++w) {
+    workers.emplace_back([&] {
+      for (std::size_t i = next.fetch_add(1); i < n_clients;
+           i = next.fetch_add(1)) {
+        run_one(i);
+      }
+    });
   }
+  for (auto& t : workers) t.join();
   report.wall_seconds = wall.elapsed_seconds();
 
   if (collector) {

@@ -78,10 +78,11 @@ struct FleetOptions {
   /// n_shards). The default single shard is the paper's one repository.
   std::size_t n_shards = 1;
   std::size_t replication = 2;
-  /// Client sessions running concurrently; 0 = one thread per client
-  /// (small fleets). Thousand-client fleets set a bounded worker pool; 1
+  /// Session threads, each pulling the next client index; 0 = one thread
+  /// per client (small fleets). Thousand-client fleets set a bound; 1
   /// runs the sessions serially in client order, which makes the whole
   /// run — byte counts included — deterministic for exact bench entries.
+  /// The sessions' searches share the process-wide executor.
   std::size_t max_parallel_clients = 0;
   /// Ship per-node MetricScope shards to a collector node. Telemetry is
   /// traffic too: switch it off when asserting exact bytes-on-wire.

@@ -9,6 +9,11 @@ TimerWheel::TimerWheel()
       fire_lag_metric_(&obs::histogram("timerwheel.fire_lag_seconds")),
       thread_([this] { loop(); }) {}
 
+TimerWheel& TimerWheel::shared() {
+  static TimerWheel wheel;
+  return wheel;
+}
+
 TimerWheel::~TimerWheel() {
   std::size_t dropped = 0;
   {

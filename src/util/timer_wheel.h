@@ -1,11 +1,11 @@
-// Deadline scheduler backing the evaluation engine's non-blocking claim
-// continuations: instead of parking a worker thread in a sleep/poll loop
-// while a peer holds a DARR claim, the engine re-queues the blocked
-// candidate here and the workers keep scoring other candidates. One
-// dedicated timer thread fires callbacks when their deadline is due
-// (typically re-submitting a task to a ThreadPool).
+// Deadline scheduler behind TaskGroup::submit_after: a claim-blocked
+// search unit parks here instead of holding a thread in a sleep/poll loop
+// while a peer holds its DARR claim, and the executor's threads keep
+// scoring other candidates. TimerWheel::shared() is the process's one
+// wheel, created on first use; its timer thread fires each callback when
+// its deadline is due (the callback queues the task in its group).
 //
-// Executor observability (ISSUE 9): every wheel writes the process-wide
+// Executor observability: every wheel writes the process-wide
 // timerwheel.* metric family —
 //   timerwheel.scheduled         counter    entries scheduled
 //   timerwheel.fired             counter    callbacks fired
@@ -40,6 +40,9 @@ class TimerWheel {
 
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
+
+  /// The process-wide wheel, created on the first call.
+  static TimerWheel& shared();
 
   /// Schedules `fn` to run `delay` from now on the timer thread.
   void schedule(std::chrono::milliseconds delay, std::function<void()> fn);

@@ -679,7 +679,9 @@ void exercise_fault_metrics() {
   {  // pool.tasks / timerwheel.scheduled+fired / prof.scopes: executor and
      // profiler instrumentation (ISSUE 9)
     ThreadPool pool(1);
-    pool.submit([] { PROF_SCOPE("golden.prof.region"); }).get();
+    TaskGroup group(pool);
+    group.submit([] { PROF_SCOPE("golden.prof.region"); });
+    group.wait();
     TimerWheel wheel;
     std::promise<void> fired;
     wheel.schedule(std::chrono::milliseconds(1),

@@ -1,17 +1,21 @@
 // Tests for the unified evaluation engine: prefix-cache LRU/byte-budget
 // semantics, memoization transparency (identical scores with the cache on
 // or off), non-blocking claim continuations on the timer wheel, batched
-// cache sweeps, and the TimerWheel itself.
+// cache sweeps, the TimerWheel itself, and the shared executor's fixed
+// thread set.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 
 #include "src/core/eval_engine.h"
 #include "src/core/evaluator.h"
+#include "src/core/kernels.h"
 #include "src/core/plan_compiler.h"
 #include "src/darr/client.h"
+#include "src/darr/cooperative.h"
 #include "src/darr/sharded.h"
 #include "src/data/synthetic.h"
 #include "src/ml/linear.h"
@@ -516,6 +520,119 @@ TEST(DarrClient, FetchManyUsesOneRoundTrip) {
   // Stats still count per key, like three singles would.
   EXPECT_EQ(client.stats().lookups, 3u);
   EXPECT_EQ(client.stats().hits, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The shared executor starts its threads once per process
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// A fold that runs a GEMM big enough to split by rows (64x256x256).
+double split_gemm_fold() {
+  constexpr std::size_t m = 64, n = 256, k = 256;
+  std::vector<double> a(m * k, 0.5), b(k * n, 0.25), c(m * n, 0.0);
+  kernels::gemm_nn(m, n, k, a.data(), k, b.data(), n, c.data(), n);
+  return c[0];
+}
+
+// Raises `most` to `now` if it is larger.
+void record_max(std::atomic<std::size_t>& most, std::size_t now) {
+  std::size_t seen = most.load();
+  while (now > seen && !most.compare_exchange_weak(seen, now)) {
+  }
+}
+
+// One small search: four candidates over three folds on four threads,
+// one of which records the process's thread count from inside its folds.
+// `gemm` adds a splitting GEMM to another candidate's folds, and `defer`
+// makes a pre-claimed candidate wait out its claim on the timer wheel.
+void small_search(bool gemm, bool defer, std::atomic<std::size_t>& most) {
+  LocalResultCache cache;
+  if (defer) {
+    ASSERT_TRUE(cache.claim("K"));
+  }
+  EvalOptions options;
+  options.threads = 4;
+  options.cache = &cache;
+  options.claim_wait_ms = 10;
+  std::vector<EvalEngine::Candidate> candidates;
+  candidates.push_back(keyed_candidate("blocked", "K"));
+  EvalEngine::Candidate counting = keyed_candidate("a", "A");
+  counting.score_fold = [&most](std::size_t fold, PrefixCache&) {
+    record_max(most, thread_count());
+    return plain_score(fold);
+  };
+  candidates.push_back(std::move(counting));
+  candidates.push_back(keyed_candidate("b", "B"));
+  EvalEngine::Candidate heavy = keyed_candidate("heavy", "H");
+  if (gemm) {
+    heavy.score_fold = [](std::size_t, PrefixCache&) {
+      return split_gemm_fold();
+    };
+  }
+  candidates.push_back(std::move(heavy));
+  const auto report = EvalEngine(options).run(std::move(candidates), 3);
+  EXPECT_EQ(report.evaluated_locally, 4u);
+}
+
+TEST(Executor, SearchesAndSplitGemmsStartNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  std::atomic<std::size_t> most{0};
+  small_search(true, true, most);  // warm-up: the executor and wheel start
+  const std::size_t threads = thread_count();
+  most = 0;
+  for (int i = 0; i < 100; ++i) {
+    small_search(i % 10 == 0, i % 25 == 0, most);
+    ASSERT_EQ(thread_count(), threads) << "after search " << i;
+  }
+  // Not one thread came and went while a search ran, either.
+  EXPECT_EQ(most.load(), threads);
+}
+
+TEST(Executor, FleetStartsAndJoinsOnlyItsSessionThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  RegressionConfig cfg;
+  cfg.n_samples = 80;
+  cfg.n_features = 4;
+  cfg.n_informative = 3;
+  const auto d = make_regression(cfg);
+  const TEGraph g = grid_graph();
+  darr::FleetOptions options;
+  options.n_clients = 4;  // one session thread per client
+  options.evaluator_threads = 2;
+  options.telemetry = false;
+  std::atomic<std::size_t> most{0};
+  auto run = [&] {
+    return darr::run_cooperative_fleet(
+        g.enumerate_candidates().size(), options,
+        [&](std::size_t, ResultCache& cache) {
+          EvalOptions eval;
+          eval.metric = Metric::kRmse;
+          eval.threads = options.evaluator_threads;
+          eval.cache = &cache;
+          auto report = GraphEvaluator(eval).evaluate(g, d, KFold(3));
+          record_max(most, thread_count());
+          return report;
+        });
+  };
+  run();  // warm-up
+  const std::size_t threads = thread_count();
+  most = 0;
+  const auto report = run();
+  EXPECT_EQ(report.redundant_evaluations, 0u);
+  EXPECT_LE(most.load(), threads + options.n_clients);
+  EXPECT_EQ(thread_count(), threads);
 }
 
 // ---------------------------------------------------------------------------

@@ -359,10 +359,12 @@ TEST(Kernels, DenseFusedActivationMatchesSeparateLayer) {
 
 // ---------------------------------------------------------------------------
 // Golden loss curves: captured from the pre-kernel scalar implementation at
-// fixed seeds (epochs=5, batch=16, shuffle_seed=7, Adam 1e-3, MSE). The
-// kernel-backed layers reproduce the forward passes bit-for-bit, so the
-// trajectories must match to float-printing precision. A drift here means
-// the rewrite changed training numerics, not just speed.
+// fixed seeds (epochs=5, batch=16, shuffle_seed=7, Adam 1e-3, MSE). Each
+// case trains its net on the target under test and again on SSE2, the copy
+// without FMA: the two curves must be bit-identical, because every target
+// computes the same sums. The golden values themselves are matched to 1e-9
+// relative, since they also depend on libm. A drift here means the kernels
+// changed training numerics, not just speed.
 // ---------------------------------------------------------------------------
 
 Matrix golden_inputs(std::size_t rows, std::size_t cols,
@@ -387,18 +389,33 @@ Matrix golden_targets(const Matrix& X) {
   return y;
 }
 
-nn::TrainConfig golden_config() {
-  nn::TrainConfig cfg;
-  cfg.epochs = 5;
-  cfg.batch_size = 16;
-  cfg.shuffle_seed = 7;
-  return cfg;
-}
+namespace kd = kernels::detail;
 
-void expect_curve(const std::vector<double>& got,
+// Trains a fresh net built by `build` on the active target and on SSE2,
+// then checks both curves as described above.
+template <typename Build>
+void expect_curve(Build build, const Matrix& X,
                   const std::vector<double>& want) {
+  const Matrix y = golden_targets(X);
+  auto train = [&] {
+    nn::Sequential net;
+    build(net);
+    nn::MseLoss loss;
+    nn::Adam opt(1e-3);
+    nn::TrainConfig cfg;
+    cfg.epochs = 5;
+    cfg.batch_size = 16;
+    cfg.shuffle_seed = 7;
+    return nn::train(net, X, y, loss, opt, cfg);
+  };
+  const std::vector<double> got = train();
+  const kd::Target active = kd::use_target(kd::Target::kSse2);
+  const std::vector<double> sse2 = train();
+  kd::use_target(active);
   ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(sse2.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], sse2[i]) << "epoch " << i << " differs from sse2";
     EXPECT_NEAR(got[i], want[i], 1e-9 * std::abs(want[i]))
         << "epoch " << i;
   }
@@ -407,70 +424,57 @@ void expect_curve(const std::vector<double>& got,
 class GoldenCurves : public OnEachTarget {};
 CODA_ON_EACH_TARGET(GoldenCurves);
 
+const std::vector<double> kMlpCurve = {
+    2.1588932135995602, 2.1164740181241992, 2.0780803628048683,
+    2.0416285617351924, 1.9954383476071815};
+
 TEST_P(GoldenCurves, MlpTrainingTrajectoryUnchanged) {
-  const std::vector<double> kMlpCurve = {
-      2.1588932135995602, 2.1164740181241992, 2.0780803628048683,
-      2.0416285617351924, 1.9954383476071815};
-  const Matrix X = golden_inputs(48, 12, 11);
-  const Matrix y = golden_targets(X);
-  nn::Sequential net;
-  net.emplace<nn::Dense>(12, 16, 101);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Dense>(16, 8, 102);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Dense>(8, 1, 103);
-  nn::MseLoss loss;
-  nn::Adam opt(1e-3);
-  expect_curve(nn::train(net, X, y, loss, opt, golden_config()), kMlpCurve);
+  expect_curve(
+      [](nn::Sequential& net) {
+        net.emplace<nn::Dense>(12, 16, 101);
+        net.emplace<nn::ReLU>();
+        net.emplace<nn::Dense>(16, 8, 102);
+        net.emplace<nn::ReLU>();
+        net.emplace<nn::Dense>(8, 1, 103);
+      },
+      golden_inputs(48, 12, 11), kMlpCurve);
 }
 
 TEST_P(GoldenCurves, MlpFusedActivationSameTrajectory) {
   // Same net built with fused Dense+ReLU: the curve must not move.
-  const std::vector<double> kMlpCurve = {
-      2.1588932135995602, 2.1164740181241992, 2.0780803628048683,
-      2.0416285617351924, 1.9954383476071815};
-  const Matrix X = golden_inputs(48, 12, 11);
-  const Matrix y = golden_targets(X);
-  nn::Sequential net;
-  net.emplace<nn::Dense>(12, 16, 101, kernels::Activation::kRelu);
-  net.emplace<nn::Dense>(16, 8, 102, kernels::Activation::kRelu);
-  net.emplace<nn::Dense>(8, 1, 103);
-  nn::MseLoss loss;
-  nn::Adam opt(1e-3);
-  expect_curve(nn::train(net, X, y, loss, opt, golden_config()), kMlpCurve);
+  expect_curve(
+      [](nn::Sequential& net) {
+        net.emplace<nn::Dense>(12, 16, 101, kernels::Activation::kRelu);
+        net.emplace<nn::Dense>(16, 8, 102, kernels::Activation::kRelu);
+        net.emplace<nn::Dense>(8, 1, 103);
+      },
+      golden_inputs(48, 12, 11), kMlpCurve);
 }
 
 TEST_P(GoldenCurves, LstmTrainingTrajectoryUnchanged) {
-  const std::vector<double> kLstmCurve = {
-      3.1077053433626851, 3.0607513860691675, 3.0343934417377016,
-      3.1205801196977521, 3.039978021742773};
-  const Matrix X = golden_inputs(40, 16, 21);
-  const Matrix y = golden_targets(X);
-  nn::Sequential net;
-  net.emplace<nn::Lstm>(2, 6, false, 201);
-  net.emplace<nn::Dense>(6, 1, 202);
-  nn::MseLoss loss;
-  nn::Adam opt(1e-3);
-  expect_curve(nn::train(net, X, y, loss, opt, golden_config()),
-               kLstmCurve);
+  expect_curve(
+      [](nn::Sequential& net) {
+        net.emplace<nn::Lstm>(2, 6, false, 201);
+        net.emplace<nn::Dense>(6, 1, 202);
+      },
+      golden_inputs(40, 16, 21),
+      {3.1077053433626851, 3.0607513860691675, 3.0343934417377016,
+       3.1205801196977521, 3.039978021742773});
 }
 
 TEST_P(GoldenCurves, CnnTrainingTrajectoryUnchanged) {
-  const std::vector<double> kCnnCurve = {
-      6.0761647602117455, 6.4745732692710449, 6.4938155530214194,
-      6.6255002295169403, 6.143166803338417};
-  const Matrix X = golden_inputs(40, 24, 31);
-  const Matrix y = golden_targets(X);
-  nn::Sequential net;
-  net.emplace<nn::Conv1D>(2, 4, 3, 1, true, 301);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::MaxPool1D>(4, 2);
-  net.emplace<nn::Dense>(6 * 4, 8, 302);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Dense>(8, 1, 303);
-  nn::MseLoss loss;
-  nn::Adam opt(1e-3);
-  expect_curve(nn::train(net, X, y, loss, opt, golden_config()), kCnnCurve);
+  expect_curve(
+      [](nn::Sequential& net) {
+        net.emplace<nn::Conv1D>(2, 4, 3, 1, true, 301);
+        net.emplace<nn::ReLU>();
+        net.emplace<nn::MaxPool1D>(4, 2);
+        net.emplace<nn::Dense>(6 * 4, 8, 302);
+        net.emplace<nn::ReLU>();
+        net.emplace<nn::Dense>(8, 1, 303);
+      },
+      golden_inputs(40, 24, 31),
+      {6.0761647602117455, 6.4745732692710449, 6.4938155530214194,
+       6.6255002295169403, 6.143166803338417});
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -100,10 +99,11 @@ TEST(Profiler, FoldedExportIsDeterministicForAFixedWorkload) {
   EXPECT_FALSE(first.empty());
 }
 
-// The tsan storm: many threads hammer one pool while the profiler records
-// inside every task. Counts must balance exactly — the instrumentation
-// sits under the queue lock (submit side) or on the single popping worker
-// (drain side), so no increment can be lost or doubled.
+// The tsan storm: many threads submit into one task group while the
+// profiler records inside every task, on the workers and on the waiter.
+// Counts must balance exactly — each task is counted before it is queued
+// and once by the one thread that pops it, so no increment can be lost or
+// doubled.
 TEST(Profiler, ConcurrentSubmitStormCountsEveryTask) {
   constexpr std::size_t kSubmitters = 4;
   constexpr std::size_t kTasksPerSubmitter = 64;
@@ -119,27 +119,24 @@ TEST(Profiler, ConcurrentSubmitStormCountsEveryTask) {
 
   {
     ThreadPool pool(3);
+    TaskGroup group(pool);
     std::vector<std::thread> submitters;
-    std::vector<std::future<void>> futures(kTasks);
-    std::mutex futures_mutex;
     submitters.reserve(kSubmitters);
     for (std::size_t s = 0; s < kSubmitters; ++s) {
-      submitters.emplace_back([&, s] {
+      submitters.emplace_back([&] {
         for (std::size_t i = 0; i < kTasksPerSubmitter; ++i) {
-          auto f = pool.submit([] {
+          group.submit([] {
             PROF_SCOPE("test.prof.storm.task");
             volatile std::uint64_t sink = 0;
             for (int spin = 0; spin < 500; ++spin) {
               sink = sink + static_cast<std::uint64_t>(spin);
             }
           });
-          std::lock_guard<std::mutex> lock(futures_mutex);
-          futures[s * kTasksPerSubmitter + i] = std::move(f);
         }
       });
     }
     for (auto& t : submitters) t.join();
-    for (auto& f : futures) f.get();
+    group.wait();
 
     const double live = pool.utilization();
     EXPECT_GE(live, 0.0);

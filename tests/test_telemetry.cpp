@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -177,17 +176,17 @@ TEST(MetricScope, ShardsIsolatePerNodeUnderThreadPool) {
   constexpr std::size_t kNodes = 4;
   constexpr std::uint64_t kPerNode = 20000;
   ThreadPool pool(kNodes);
-  std::vector<std::future<void>> done;
+  TaskGroup group(pool);
   for (std::size_t n = 0; n < kNodes; ++n) {
-    done.push_back(pool.submit([n] {
+    group.submit([n] {
       const std::string node = "scope-node" + std::to_string(n);
       const obs::NodeScope scope(node);
       for (std::uint64_t i = 0; i < kPerNode; ++i) {
         obs::count_scoped("test.scope.iso", 1);
       }
-    }));
+    });
   }
-  for (auto& f : done) f.get();
+  group.wait();
 
   // Every shard holds exactly its own node's writes...
   for (std::size_t n = 0; n < kNodes; ++n) {

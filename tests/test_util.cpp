@@ -1,9 +1,18 @@
 // Tests for the util layer: hashing, strings, CSV, serialization, RNG,
-// thread pool.
+// thread pool and task groups.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
+#include "src/core/kernels.h"
+#include "src/obs/metrics.h"
 
 #include "src/util/csv.h"
 #include "src/util/hash.h"
@@ -155,24 +164,136 @@ TEST(Rng, SplitIsIndependent) {
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
+  TaskGroup group(pool);
+  for (int i = 0; i < 100; ++i) group.submit([&counter] { ++counter; });
+  group.wait();
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, ReturnsValues) {
+  // A plain int: wait() must order the task's write before the read.
   ThreadPool pool(2);
-  auto f = pool.submit([](int a, int b) { return a + b; }, 20, 22);
-  EXPECT_EQ(f.get(), 42);
+  int sum = 0;
+  TaskGroup group(pool);
+  group.submit([&sum] { sum = 20 + 22; });
+  group.wait();
+  EXPECT_EQ(sum, 42);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+  std::atomic<int> ran{0};
+  TaskGroup group(pool);
+  group.submit([] { throw std::runtime_error("boom"); });
+  for (int i = 0; i < 5; ++i) group.submit([&ran] { ++ran; });
+  EXPECT_THROW(group.wait(), std::runtime_error);
+  EXPECT_EQ(ran.load(), 5);  // the other tasks still ran
+  group.wait();              // rethrown once
+}
+
+TEST(ThreadPool, SharedPoolIsOnePoolSizedToTheHardware) {
+  ThreadPool& pool = ThreadPool::shared();
+  EXPECT_EQ(&pool, &ThreadPool::shared());
+  EXPECT_EQ(&ThreadPool::current(), &pool);  // not on a worker
+  EXPECT_EQ(pool.size(),
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+}
+
+// Runs `fn` as a task on the only worker of `pool`, so that nobody but
+// that task can run the groups it waits on.
+template <typename Fn>
+void on_the_one_worker(ThreadPool& pool, Fn fn) {
+  ASSERT_EQ(pool.size(), 1u);
+  std::atomic<bool> started{false};
+  bool on_worker = false;
+  TaskGroup outer(pool);
+  outer.submit([&] {
+    on_worker = &ThreadPool::current() == &pool;
+    started = true;
+    fn();
+  });
+  // Wait only once the worker has taken the task: a waiter would run it.
+  while (!started.load()) std::this_thread::yield();
+  outer.wait();
+  EXPECT_TRUE(on_worker);
+}
+
+TEST(TaskGroup, TaskWaitingOnItsOwnGroupFinishesOnOneWorker) {
+  ThreadPool pool(1);
+  std::atomic<int> counter{0};
+  on_the_one_worker(pool, [&] {
+    TaskGroup group(pool, 2);
+    for (int i = 0; i < 10; ++i) group.submit([&counter] { ++counter; });
+    group.wait();
+  });
+  EXPECT_EQ(counter.load(), 10);
+}
+
+TEST(TaskGroup, CapOfOneNeverRunsTwoTasksAtOnce) {
+  ThreadPool pool(4);
+  std::atomic<int> running{0};
+  std::atomic<int> most{0};
+  TaskGroup group(pool, 1);
+  for (int i = 0; i < 64; ++i) {
+    group.submit([&] {
+      const int now = ++running;
+      int seen = most.load();
+      while (now > seen && !most.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      --running;
+    });
+  }
+  group.wait();  // the waiter runs tasks too, under the same cap
+  EXPECT_EQ(most.load(), 1);
+}
+
+TEST(TaskGroup, WaitReturnsOnlyAfterEveryTaskReturned) {
+  // Plain bools: wait() must order each task's last write before the
+  // reads below (TSan checks the happens-before, not just the values).
+  constexpr std::size_t kTasks = 48;
+  ThreadPool pool(3);
+  auto done = std::make_unique<bool[]>(kTasks);
+  TaskGroup group(pool, 2);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    auto task = [&done, i] {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      done[i] = true;
+    };
+    // Every third task is parked on the timer wheel first.
+    if (i % 3 == 0) {
+      group.submit_after(std::chrono::milliseconds(1 + i % 5), task);
+    } else {
+      group.submit(task);
+    }
+  }
+  group.wait();
+  for (std::size_t i = 0; i < kTasks; ++i) EXPECT_TRUE(done[i]) << i;
+}
+
+TEST(TaskGroup, SplitGemmInsideATaskOnOneWorkerMatchesUnsplit) {
+  // 64x256x256 is 8.4 MFLOP, above the row-split threshold: the GEMM cuts
+  // its rows into a group on the task's pool, whose one worker is busy
+  // running the GEMM's own caller.
+  constexpr std::size_t m = 64, n = 256, k = 256;
+  Rng rng(5);
+  std::vector<double> a(m * k), b(k * n);
+  for (double& v : a) v = rng.uniform(-1.0, 1.0);
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  std::vector<double> split(m * n, 0.0), unsplit(m * n, 0.0);
+  ThreadPool pool(1);
+  const std::uint64_t tasks_before = obs::counter("pool.tasks").value();
+  on_the_one_worker(pool, [&] {
+    kernels::gemm_nn(m, n, k, a.data(), k, b.data(), n, split.data(), n);
+  });
+  // The outer task plus at least two row chunks.
+  EXPECT_GE(obs::counter("pool.tasks").value() - tasks_before, 3u);
+  // One row per call stays below the threshold, so it never splits.
+  for (std::size_t r = 0; r < m; ++r) {
+    kernels::gemm_nn(1, n, k, a.data() + r * k, k, b.data(), n,
+                     unsplit.data() + r * n, n);
+  }
+  EXPECT_EQ(split, unsplit);
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 # appear. Then checks the Fig-11 profile ($BUILD_DIR/PROF_fig11.folded,
 # written by scripts/tier1.sh; regenerated here when missing or older than
 # the bench binary): neural fits must show nn.* frames below
-# eval.fold.fit. Finally re-runs the pinned reset test to assert that
-# obs::prof::reset() leaves the profiler empty.
+# eval.fold.fit, the conv stacks must show nn.conv1d.fwd frames, and no
+# nn.relu.*, nn.tanh.* or nn.sigmoid.* frame may appear (activations fuse
+# into the Dense/Conv1D GEMM epilogue; a forecaster that stacks a
+# standalone activation layer fails here). Finally re-runs the pinned reset
+# test to assert that obs::prof::reset() leaves the profiler empty.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,6 +87,17 @@ below_fit = {
 assert below_fit, f"no nn.* frames below eval.fold.fit in {sys.argv[1]}"
 print(f"profile check: {len(below_fit)} nn.* regions below eval.fold.fit "
       f"in the Fig-11 profile")
+
+# One activation rule: the CNN/WaveNet/SeriesNet convs fuse their
+# activation, so the profile holds conv frames and no standalone
+# activation layer frames.
+frames = {frame for frames in stacks for frame in frames}
+assert "nn.conv1d.fwd" in frames, "no nn.conv1d.fwd frame in the Fig-11 profile"
+standalone = sorted(
+    f for f in frames
+    if f.startswith(("nn.relu.", "nn.tanh.", "nn.sigmoid.")))
+assert not standalone, f"standalone activation layer frames: {standalone}"
+print("profile check: conv frames present, no standalone activation frames")
 PYEOF
 
 # Reset contract: obs::prof::reset() must leave the profiler empty (no

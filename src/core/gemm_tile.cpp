@@ -93,10 +93,7 @@ void tile(const Gemm& g, std::size_t i, std::size_t j) {
   }
   if (g.ep.act != Activation::kNone) {
     for (std::size_t r = 0; r < MR; ++r) {
-      double* const row = c + r * g.ldc;
-      for (std::size_t x = 0; x < NV * VW; ++x) {
-        row[x] = activate(row[x], g.ep.act);
-      }
+      activate(g.ep.act, c + r * g.ldc, NV * VW);
     }
   }
 }

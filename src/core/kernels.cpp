@@ -29,10 +29,17 @@ constexpr std::size_t kNc = 240;
 // Below this many flops (2*m*n*k) a GEMM is not worth a thread handoff.
 constexpr std::size_t kParallelFlops = 4u << 20;
 
-double apply_epilogue(double v, const double* bias_tile, std::size_t j,
-                      Activation act) {
-  if (bias_tile != nullptr) v += bias_tile[j];
-  return activate(v, act);
+// The epilogue over an mr x nr tile of C already holding its final sums:
+// add the bias row, then apply the activation, one row span at a time.
+void finish_tile(double* c, std::size_t ldc, std::size_t mr, std::size_t nr,
+                 const Epilogue& ep, const double* bias_tile) {
+  for (std::size_t r = 0; r < mr; ++r) {
+    double* const row = c + r * ldc;
+    if (bias_tile != nullptr) {
+      for (std::size_t v = 0; v < nr; ++v) row[v] += bias_tile[v];
+    }
+    activate(ep.act, row, nr);
+  }
 }
 
 // Full kMr x kNr micro-kernel over one packed k strip. The C tile is
@@ -58,16 +65,11 @@ void micro_full(const double* __restrict ap, const double* __restrict bp,
       for (std::size_t v = 0; v < kNr; ++v) acc[r][v] += ar * brow[v];
     }
   }
+  for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t v = 0; v < kNr; ++v) c[r * ldc + v] = acc[r][v];
+  }
   if (final_panel && ep.active()) {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      for (std::size_t v = 0; v < kNr; ++v) {
-        c[r * ldc + v] = apply_epilogue(acc[r][v], bias_tile, v, ep.act);
-      }
-    }
-  } else {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      for (std::size_t v = 0; v < kNr; ++v) c[r * ldc + v] = acc[r][v];
-    }
+    finish_tile(c, ldc, kMr, kNr, ep, bias_tile);
   }
 }
 
@@ -96,13 +98,9 @@ void micro_edge_n(const double* __restrict ap, const double* __restrict bp,
     }
   }
   for (std::size_t r = 0; r < mr; ++r) {
-    for (std::size_t v = 0; v < NR; ++v) {
-      const double out = acc[r][v];
-      c[r * ldc + v] = final_panel && ep.active()
-                           ? apply_epilogue(out, bias_tile, v, ep.act)
-                           : out;
-    }
+    for (std::size_t v = 0; v < NR; ++v) c[r * ldc + v] = acc[r][v];
   }
+  if (final_panel && ep.active()) finish_tile(c, ldc, mr, NR, ep, bias_tile);
 }
 
 // Width dispatch for ragged tiles. nr <= kNr always holds.
@@ -261,18 +259,39 @@ void check_shapes(const Matrix& a, const Matrix& b, const Matrix& c,
 
 }  // namespace
 
-double activate(double v, Activation act) {
+void activate(Activation act, double* x, std::size_t n) {
   switch (act) {
     case Activation::kRelu:
-      return v > 0.0 ? v : 0.0;
+      for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
+      break;
     case Activation::kSigmoid:
-      return 1.0 / (1.0 + std::exp(-v));
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = 1.0 / (1.0 + std::exp(-x[i]));
+      }
+      break;
     case Activation::kTanh:
-      return std::tanh(v);
+      for (std::size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+      break;
     case Activation::kNone:
       break;
   }
-  return v;
+}
+
+void activate_grad(Activation act, const double* y, double* g,
+                   std::size_t n) {
+  switch (act) {
+    case Activation::kRelu:
+      for (std::size_t i = 0; i < n; ++i) g[i] = y[i] > 0.0 ? g[i] : 0.0;
+      break;
+    case Activation::kSigmoid:
+      for (std::size_t i = 0; i < n; ++i) g[i] *= y[i] * (1.0 - y[i]);
+      break;
+    case Activation::kTanh:
+      for (std::size_t i = 0; i < n; ++i) g[i] *= 1.0 - y[i] * y[i];
+      break;
+    case Activation::kNone:
+      break;
+  }
 }
 
 namespace detail {

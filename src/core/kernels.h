@@ -34,7 +34,9 @@
 
 namespace coda::kernels {
 
-/// Elementwise activation fused into a GEMM write-back.
+/// Elementwise activation. Its math lives only in activate /
+/// activate_grad below, whether it runs fused into a GEMM write-back
+/// (Dense, Conv1D), over the LSTM gates or as a standalone layer.
 enum class Activation { kNone, kRelu, kSigmoid, kTanh };
 
 /// Epilogue applied during the final write-back of a GEMM result tile:
@@ -47,8 +49,16 @@ struct Epilogue {
   bool active() const { return bias != nullptr || act != Activation::kNone; }
 };
 
-/// Scalar application of an activation (shared with the fused epilogue).
-double activate(double v, Activation act);
+/// x[i] = f(x[i]) in place: relu max(x, 0), sigmoid 1 / (1 + e^-x),
+/// tanh. Defined out of line in kernels.cpp (built with -ffp-contract=off)
+/// so every caller, each copy of the GEMM tile included, runs one
+/// definition.
+void activate(Activation act, double* x, std::size_t n);
+
+/// g[i] *= f'(x[i]), written in terms of the post-activation output
+/// y = f(x): relu [y > 0], sigmoid y(1 - y), tanh 1 - y^2.
+void activate_grad(Activation act, const double* y, double* g,
+                   std::size_t n);
 
 // ---------------------------------------------------------------------------
 // GEMM in the three orientations the layers need. All matrices are row-major

@@ -10,12 +10,13 @@ namespace coda::nn {
 
 Conv1D::Conv1D(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t dilation, bool causal,
-               std::uint64_t seed)
+               std::uint64_t seed, kernels::Activation act)
     : in_channels_(in_channels),
       out_channels_(out_channels),
       kernel_(kernel),
       dilation_(dilation),
       causal_(causal),
+      act_(act),
       w_(kernel * in_channels, out_channels),
       b_(1, out_channels) {
   require(in_channels > 0 && out_channels > 0 && kernel > 0 && dilation > 0,
@@ -36,7 +37,7 @@ Matrix Conv1D::forward(const Matrix& input, bool) {
           "Conv1D: input width not a multiple of in_channels");
   const std::size_t seq_len = input.cols() / in_channels_;
   const std::size_t out_len = output_length(seq_len);
-  cached_input_ = input;
+  cached_rows_ = input.rows();
   cached_seq_len_ = seq_len;
 
   // im2col: gather each receptive field into a contiguous row, then the
@@ -45,7 +46,8 @@ Matrix Conv1D::forward(const Matrix& input, bool) {
   // reads t + k*dilation. The row-major output block (N*out_len) x out_ch
   // is bytewise the same layout as the N x (out_len*out_ch) result, so the
   // GEMM writes it directly; rows are pre-seeded with the bias so the
-  // accumulation order matches the old per-tap loops exactly.
+  // accumulation order matches the old per-tap loops exactly, and the
+  // activation (when fused) is applied by the GEMM epilogue on write-back.
   const std::size_t fields = kernel_ * in_channels_;
   im2col_.reshape(input.rows() * out_len, fields);
   obs::Region im2col(obs::region_id<"nn.conv1d.im2col">());
@@ -81,7 +83,8 @@ Matrix Conv1D::forward(const Matrix& input, bool) {
   }
   kernels::gemm_nn(im2col_.rows(), out_channels_, fields, im2col_.ptr(),
                    fields, w_.value.ptr(), out_channels_, out.ptr(),
-                   out_channels_);
+                   out_channels_, kernels::Epilogue{nullptr, act_});
+  if (act_ != kernels::Activation::kNone) cached_output_ = out;
   return out;
 }
 
@@ -89,31 +92,40 @@ Matrix Conv1D::backward(const Matrix& grad_output) {
   require_state(cached_seq_len_ > 0, "Conv1D: backward without forward");
   const std::size_t seq_len = cached_seq_len_;
   const std::size_t out_len = output_length(seq_len);
-  require(grad_output.rows() == cached_input_.rows() &&
+  require(grad_output.rows() == cached_rows_ &&
               grad_output.cols() == out_len * out_channels_,
           "Conv1D: grad shape mismatch");
+  // With a fused activation, first pull the gradient back through it using
+  // the cached post-activation output.
+  Matrix g_act;
+  const Matrix* g = &grad_output;
+  if (act_ != kernels::Activation::kNone) {
+    g_act = grad_output;
+    kernels::activate_grad(act_, cached_output_.ptr(), g_act.ptr(),
+                           g_act.size());
+    g = &g_act;
+  }
 
   // The grad block is bytewise a (N*out_len) x out_ch matrix. db is its
   // column sums; dW += im2colᵀ · g reuses the fields gathered in forward;
   // dX is g · Wᵀ per row, scattered back through the same tap mapping
   // (col2im) — the only part that has no GEMM shape.
   const std::size_t fields = kernel_ * in_channels_;
-  const std::size_t gr = grad_output.rows() * out_len;
-  kernels::col_sums_add(gr, out_channels_, grad_output.ptr(), out_channels_,
+  const std::size_t gr = g->rows() * out_len;
+  kernels::col_sums_add(gr, out_channels_, g->ptr(), out_channels_,
                         b_.grad.ptr());
   kernels::gemm_tn(fields, out_channels_, gr, im2col_.ptr(), fields,
-                   grad_output.ptr(), out_channels_, w_.grad.ptr(),
-                   out_channels_);
+                   g->ptr(), out_channels_, w_.grad.ptr(), out_channels_);
   dcol_.reshape(gr, fields);
   // Overwrite mode: bit-identical to the old zero-fill + accumulate
   // (0 + s == s) without the extra pass over dcol_.
-  kernels::gemm_nt(gr, fields, out_channels_, grad_output.ptr(),
-                   out_channels_, w_.value.ptr(), out_channels_,
-                   dcol_.ptr(), fields, {}, /*accumulate=*/false);
+  kernels::gemm_nt(gr, fields, out_channels_, g->ptr(), out_channels_,
+                   w_.value.ptr(), out_channels_, dcol_.ptr(), fields, {},
+                   /*accumulate=*/false);
 
-  Matrix grad_input(cached_input_.rows(), cached_input_.cols());
+  Matrix grad_input(cached_rows_, seq_len * in_channels_);
   PROF_SCOPE("nn.conv1d.col2im");
-  for (std::size_t n = 0; n < grad_output.rows(); ++n) {
+  for (std::size_t n = 0; n < cached_rows_; ++n) {
     double* gi_row = grad_input.row_ptr(n);
     for (std::size_t t = 0; t < out_len; ++t) {
       const double* src_row = dcol_.row_ptr(n * out_len + t);

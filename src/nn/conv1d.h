@@ -5,12 +5,15 @@
 // t, t-dilation, t-2*dilation, ... (the WaveNet construction).
 #pragma once
 
+#include "src/core/kernels.h"
 #include "src/nn/layer.h"
 #include "src/util/random.h"
 
 namespace coda::nn {
 
-/// Dilated (optionally causal) 1-D convolution.
+/// Dilated (optionally causal) 1-D convolution, y = act(conv(x) + b). As
+/// in Dense, the activation defaults to none and a given one is fused into
+/// the GEMM epilogue.
 class Conv1D final : public Layer {
  public:
   /// kernel taps are spaced `dilation` steps apart. causal=true left-pads
@@ -18,7 +21,8 @@ class Conv1D final : public Layer {
   /// convolution (output length = T - (kernel-1)*dilation).
   Conv1D(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t dilation = 1, bool causal = true,
-         std::uint64_t seed = 42);
+         std::uint64_t seed = 42,
+         kernels::Activation act = kernels::Activation::kNone);
 
   Matrix forward(const Matrix& input, bool training) override;
   Matrix backward(const Matrix& grad_output) override;
@@ -38,10 +42,14 @@ class Conv1D final : public Layer {
   std::size_t kernel_;
   std::size_t dilation_;
   bool causal_;
+  kernels::Activation act_;
   ParamTensor w_;  // (kernel * in_channels) x out_channels
   ParamTensor b_;  // 1 x out_channels
-  Matrix cached_input_;
+  // Shape of the last forward batch; the input itself is not kept, since
+  // backward reads the receptive fields from im2col_.
+  std::size_t cached_rows_ = 0;
   std::size_t cached_seq_len_ = 0;
+  Matrix cached_output_;  // post-activation; only kept when act_ is fused
 
   // im2col workspace: one row per (batch row, output position) holding the
   // kernel*in_channels receptive field (zeros where the causal padding

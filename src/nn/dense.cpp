@@ -30,29 +30,13 @@ Matrix Dense::backward(const Matrix& grad_output) {
   require_state(cached_input_.rows() == grad_output.rows(),
                 "Dense: backward without matching forward");
   // With a fused activation, first pull the gradient back through it using
-  // the cached post-activation output y: relu' = [y > 0], sigmoid' = y(1-y),
-  // tanh' = 1 - y^2.
+  // the cached post-activation output.
   Matrix g_act;
   const Matrix* g = &grad_output;
   if (act_ != kernels::Activation::kNone) {
     g_act = grad_output;
-    double* gd = g_act.ptr();
-    const double* y = cached_output_.ptr();
-    for (std::size_t i = 0; i < g_act.size(); ++i) {
-      switch (act_) {
-        case kernels::Activation::kRelu:
-          gd[i] = y[i] > 0.0 ? gd[i] : 0.0;
-          break;
-        case kernels::Activation::kSigmoid:
-          gd[i] *= y[i] * (1.0 - y[i]);
-          break;
-        case kernels::Activation::kTanh:
-          gd[i] *= 1.0 - y[i] * y[i];
-          break;
-        case kernels::Activation::kNone:
-          break;
-      }
-    }
+    kernels::activate_grad(act_, cached_output_.ptr(), g_act.ptr(),
+                           g_act.size());
     g = &g_act;
   }
   // dW += x^T g ; db += column sums of g ; dInput = g W^T — all without

@@ -1,18 +1,12 @@
 #include "src/nn/lstm.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/core/kernels.h"
 #include "src/nn/init.h"
 #include "src/obs/profiler.h"
 
 namespace coda::nn {
-namespace {
-
-double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
-
-}  // namespace
 
 Lstm::Lstm(std::size_t input_size, std::size_t hidden_size,
            bool return_sequences, std::uint64_t seed)
@@ -75,26 +69,30 @@ Matrix Lstm::forward(const Matrix& input, bool) {
                        4 * H, z_.ptr() + t * 4 * H, seq_len * 4 * H);
     }
 
+    // The gate activations run in place over z_'s i/f/g/o slices (backward
+    // reads only the step caches), then tanh over the new cell state.
     const Matrix* c_prev = t > 0 ? &steps_[t - 1].c : nullptr;
     PROF_SCOPE("nn.lstm.gates");
     for (std::size_t r = 0; r < n; ++r) {
-      const double* zr = z_.row_ptr(r) + t * 4 * H;
+      double* zr = z_.row_ptr(r) + t * 4 * H;
+      kernels::activate(kernels::Activation::kSigmoid, zr, 2 * H);  // i, f
+      kernels::activate(kernels::Activation::kTanh, zr + 2 * H, H);
+      kernels::activate(kernels::Activation::kSigmoid, zr + 3 * H, H);
       for (std::size_t hh = 0; hh < H; ++hh) {
-        const double iv = sigmoid(zr[hh]);
-        const double fv = sigmoid(zr[H + hh]);
-        const double gv = std::tanh(zr[2 * H + hh]);
-        const double ov = sigmoid(zr[3 * H + hh]);
-        const double cv =
-            fv * (t > 0 ? (*c_prev)(r, hh) : 0.0) + iv * gv;
-        const double tc = std::tanh(cv);
+        const double iv = zr[hh];
+        const double fv = zr[H + hh];
+        const double gv = zr[2 * H + hh];
         s.i(r, hh) = iv;
         s.f(r, hh) = fv;
         s.g(r, hh) = gv;
-        s.o(r, hh) = ov;
-        s.c(r, hh) = cv;
-        s.tanh_c(r, hh) = tc;
-        s.h(r, hh) = ov * tc;
+        s.o(r, hh) = zr[3 * H + hh];
+        s.c(r, hh) = fv * (t > 0 ? (*c_prev)(r, hh) : 0.0) + iv * gv;
       }
+    }
+    std::copy(s.c.ptr(), s.c.ptr() + n * H, s.tanh_c.ptr());
+    kernels::activate(kernels::Activation::kTanh, s.tanh_c.ptr(), n * H);
+    for (std::size_t x = 0; x < n * H; ++x) {
+      s.h.ptr()[x] = s.o.ptr()[x] * s.tanh_c.ptr()[x];
     }
   }
 

@@ -47,7 +47,8 @@ class Lstm final : public Layer {
   std::size_t cached_seq_len_ = 0;
 
   // Workspaces reused across forward/backward calls: the time-batched
-  // N x T*4H gate pre-activations / gradients and the BPTT carry buffers.
+  // N x T*4H gate pre-activations (activated in place by forward) /
+  // gradients and the BPTT carry buffers.
   // The input projection of every timestep runs as ONE GEMM over the
   // flattened (N*T x input) view of the batch, and the weight-gradient
   // GEMMs of backward are batched over buffers reordered to (t descending,

@@ -3,7 +3,6 @@
 #include <tuple>
 
 #include "src/core/metrics.h"
-#include "src/nn/activations.h"
 #include "src/nn/conv1d.h"
 #include "src/nn/dense.h"
 #include "src/nn/dropout.h"
@@ -136,8 +135,8 @@ nn::Sequential CnnForecaster::build_network(std::size_t in_features) const {
   std::size_t width = channels;
   for (std::size_t b = 0; b < blocks; ++b) {
     net.emplace<nn::Conv1D>(width, filters, kernel, /*dilation=*/1,
-                            /*causal=*/true, seed() + b);
-    net.emplace<nn::ReLU>();
+                            /*causal=*/true, seed() + b,
+                            kernels::Activation::kRelu);
     if (length >= 2) {
       net.emplace<nn::MaxPool1D>(filters, std::size_t{2});
       length /= 2;
@@ -166,15 +165,15 @@ nn::Sequential WaveNetForecaster::build_network(
   std::size_t layer = 0;
   for (std::size_t dilation = 1; dilation < seq_len; dilation *= 2) {
     net.emplace<nn::Conv1D>(width, filters, std::size_t{2}, dilation,
-                            /*causal=*/true, seed() + layer);
-    net.emplace<nn::ReLU>();
+                            /*causal=*/true, seed() + layer,
+                            kernels::Activation::kRelu);
     width = filters;
     ++layer;
   }
   if (layer == 0) {  // degenerate history of 1 step: plain 1x1 conv
     net.emplace<nn::Conv1D>(width, filters, std::size_t{1}, std::size_t{1},
-                            /*causal=*/true, seed());
-    net.emplace<nn::ReLU>();
+                            /*causal=*/true, seed(),
+                            kernels::Activation::kRelu);
   }
   net.emplace<nn::SliceLastTimestep>(filters);
   net.emplace<nn::Dense>(filters, std::size_t{1}, seed() + 999);
@@ -194,16 +193,16 @@ nn::Sequential SeriesNetForecaster::build_network(
   for (std::size_t pass = 0; pass < 2; ++pass) {
     for (std::size_t dilation = 1; dilation < seq_len; dilation *= 2) {
       net.emplace<nn::Conv1D>(width, filters, std::size_t{2}, dilation,
-                              /*causal=*/true, seed() + layer);
-      net.emplace<nn::Tanh>();
+                              /*causal=*/true, seed() + layer,
+                              kernels::Activation::kTanh);
       width = filters;
       ++layer;
     }
   }
   if (layer == 0) {
     net.emplace<nn::Conv1D>(width, filters, std::size_t{1}, std::size_t{1},
-                            /*causal=*/true, seed());
-    net.emplace<nn::Tanh>();
+                            /*causal=*/true, seed(),
+                            kernels::Activation::kTanh);
   }
   net.emplace<nn::SliceLastTimestep>(filters);
   net.emplace<nn::Dense>(filters, std::size_t{1}, seed() + 999);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "src/nn/lstm.h"
 #include "src/nn/optimizer.h"
 #include "src/nn/sequential.h"
+#include "src/nn/slice.h"
 #include "src/nn/trainer.h"
 #include "src/obs/metrics.h"
 #include "src/util/error.h"
@@ -224,11 +226,9 @@ TEST_P(KernelsOnTarget, FusedEpilogueMatchesSeparatePasses) {
                          ep);
       }
       for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t j = 0; j < n; ++j) {
-          c_ref[r * n + j] =
-              kernels::activate(c_ref[r * n + j] + bias[j], act);
-        }
+        for (std::size_t j = 0; j < n; ++j) c_ref[r * n + j] += bias[j];
       }
+      kernels::activate(act, c_ref.data(), c_ref.size());
       EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0)
           << op << ", activation " << static_cast<int>(act);
     }
@@ -357,6 +357,64 @@ TEST(Kernels, DenseFusedActivationMatchesSeparateLayer) {
             0.0);
 }
 
+std::unique_ptr<nn::Layer> standalone_activation(kernels::Activation act) {
+  switch (act) {
+    case kernels::Activation::kRelu:
+      return std::make_unique<nn::ReLU>();
+    case kernels::Activation::kTanh:
+      return std::make_unique<nn::Tanh>();
+    default:
+      return std::make_unique<nn::Sigmoid>();
+  }
+}
+
+TEST(Kernels, Conv1DFusedActivationMatchesSeparateLayer) {
+  // A Conv1D with a fused activation must be indistinguishable — forward,
+  // dX, dW and db — from Conv1D followed by the standalone layer, on every
+  // target. 19 output channels give every target full tiles and a ragged
+  // edge.
+  namespace kd = kernels::detail;
+  const Matrix X = [&] {
+    Rng rng(151);
+    Matrix m(6, 10 * 3);
+    for (double& v : m.data()) v = rng.uniform(-1.0, 1.0);
+    return m;
+  }();
+  const kd::Target active = kd::active_target();
+  for (const kd::Target t : kd::kTargets) {
+    if (!kd::supported(t)) continue;
+    kd::use_target(t);
+    for (const auto act :
+         {kernels::Activation::kRelu, kernels::Activation::kTanh,
+          kernels::Activation::kSigmoid}) {
+      SCOPED_TRACE(std::string(kd::target_name(t)) + ", activation " +
+                   std::to_string(static_cast<int>(act)));
+      nn::Conv1D fused(3, 19, 3, /*dilation=*/2, true, 157, act);
+      nn::Conv1D plain(3, 19, 3, /*dilation=*/2, true, 157);
+      const auto layer = standalone_activation(act);
+
+      const Matrix out_fused = fused.forward(X, true);
+      const Matrix out_plain = layer->forward(plain.forward(X, true), true);
+      ASSERT_EQ(out_fused.cols(), out_plain.cols());
+      EXPECT_EQ(max_abs_diff(out_fused.data(), out_plain.data()), 0.0);
+
+      Matrix g(out_fused.rows(), out_fused.cols());
+      Rng rng(163);
+      for (double& v : g.data()) v = rng.uniform(-1.0, 1.0);
+      const Matrix dx_fused = fused.backward(g);
+      const Matrix dx_plain = plain.backward(layer->backward(g));
+      EXPECT_EQ(max_abs_diff(dx_fused.data(), dx_plain.data()), 0.0);
+      for (std::size_t p = 0; p < 2; ++p) {  // dW, db
+        EXPECT_EQ(max_abs_diff(fused.parameters()[p]->grad.data(),
+                               plain.parameters()[p]->grad.data()),
+                  0.0)
+            << "parameter " << p;
+      }
+    }
+  }
+  kd::use_target(active);
+}
+
 // ---------------------------------------------------------------------------
 // Golden loss curves: captured from the pre-kernel scalar implementation at
 // fixed seeds (epochs=5, batch=16, shuffle_seed=7, Adam 1e-3, MSE). Each
@@ -462,6 +520,10 @@ TEST_P(GoldenCurves, LstmTrainingTrajectoryUnchanged) {
        3.1205801196977521, 3.039978021742773});
 }
 
+const std::vector<double> kCnnCurve = {
+    6.0761647602117455, 6.4745732692710449, 6.4938155530214194,
+    6.6255002295169403, 6.143166803338417};
+
 TEST_P(GoldenCurves, CnnTrainingTrajectoryUnchanged) {
   expect_curve(
       [](nn::Sequential& net) {
@@ -472,9 +534,38 @@ TEST_P(GoldenCurves, CnnTrainingTrajectoryUnchanged) {
         net.emplace<nn::ReLU>();
         net.emplace<nn::Dense>(8, 1, 303);
       },
-      golden_inputs(40, 24, 31),
-      {6.0761647602117455, 6.4745732692710449, 6.4938155530214194,
-       6.6255002295169403, 6.143166803338417});
+      golden_inputs(40, 24, 31), kCnnCurve);
+}
+
+TEST_P(GoldenCurves, CnnFusedActivationSameTrajectory) {
+  // Same net with ReLU fused into Conv1D and Dense: the curve must not move.
+  expect_curve(
+      [](nn::Sequential& net) {
+        net.emplace<nn::Conv1D>(2, 4, 3, 1, true, 301,
+                                kernels::Activation::kRelu);
+        net.emplace<nn::MaxPool1D>(4, 2);
+        net.emplace<nn::Dense>(6 * 4, 8, 302, kernels::Activation::kRelu);
+        net.emplace<nn::Dense>(8, 1, 303);
+      },
+      golden_inputs(40, 24, 31), kCnnCurve);
+}
+
+TEST_P(GoldenCurves, DilatedConvTanhTrajectoryUnchanged) {
+  // A SeriesNet-shaped stack: dilated causal convs with fused tanh and 16
+  // output channels, so full vector tiles run on every target and a kernel
+  // built with FMA contraction departs from the SSE2 curve.
+  expect_curve(
+      [](nn::Sequential& net) {
+        net.emplace<nn::Conv1D>(2, 16, 2, 1, true, 311,
+                                kernels::Activation::kTanh);
+        net.emplace<nn::Conv1D>(16, 16, 2, 2, true, 312,
+                                kernels::Activation::kTanh);
+        net.emplace<nn::SliceLastTimestep>(16);
+        net.emplace<nn::Dense>(16, 1, 313);
+      },
+      golden_inputs(40, 24, 41),
+      {8.3239357400129084, 8.5252476538565585, 6.7544698629166717,
+       7.5537054231857921, 6.7980875113941357});
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the neural-network substrate. The backbone is a finite-
 // difference gradient check applied to every layer type — the strongest
 // correctness evidence for hand-written backprop (Dense, activations,
-// Conv1D with dilation, MaxPool1D, LSTM with BPTT, SliceLastTimestep).
+// Conv1D with dilation and fused activations, MaxPool1D, LSTM with BPTT,
+// SliceLastTimestep).
 // The gradient checks and the training tests run once per GEMM dispatch
 // target the host supports (tests/kernel_targets.h).
 #include <gtest/gtest.h>
@@ -132,6 +133,24 @@ TEST_P(GradCheck, Conv1DValid) {
   Rng rng(7);
   Conv1D layer(1, 2, 3, 1, /*causal=*/false, 17);
   check_gradients(layer, random_matrix(2, 7, rng));
+}
+
+TEST_P(GradCheck, Conv1DFusedRelu) {
+  Rng rng(14);
+  Conv1D layer(2, 3, 2, /*dilation=*/2, /*causal=*/true, 29,
+               kernels::Activation::kRelu);
+  // The seed keeps every pre-activation away from relu's kink at 0, where
+  // central differences would straddle it.
+  const Matrix X = random_matrix(2, 6 * 2, rng);
+  const Matrix pre = Conv1D(2, 3, 2, 2, true, 29).forward(X, false);
+  for (const double v : pre.data()) ASSERT_GT(std::abs(v), 1e-3);
+  check_gradients(layer, X);
+}
+
+TEST_P(GradCheck, Conv1DFusedTanh) {
+  Rng rng(15);
+  Conv1D layer(2, 3, 3, 1, /*causal=*/true, 31, kernels::Activation::kTanh);
+  check_gradients(layer, random_matrix(3, 5 * 2, rng));
 }
 
 TEST_P(GradCheck, MaxPool1D) {

@@ -7,9 +7,15 @@
 // diffable anchor. The
 // naive reference is inlined from kernels.h into this TU, so it is measured
 // exactly as the pre-kernel code was compiled (the library's default -O2,
-// not the kernel layer's -O3).
+// not the kernel layer's -O3). A second table reports ns/element of the
+// elementwise math — exp, sigmoid and tanh through libm against each
+// target's kernels::activate, and the dropout mask drawn the old way (one
+// Rng::bernoulli per element) against kernels::dropout_mask.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -156,6 +162,107 @@ void print_gemm_table() {
               "selected target over naive)\n\n");
 }
 
+// ns per element of one pass over n elements, from time_call.
+double ns_per_element(double seconds, std::size_t n) {
+  return seconds / static_cast<double>(n) * 1e9;
+}
+
+void print_elementwise_table() {
+  namespace kd = kernels::detail;
+  const kd::Target selected = kd::active_target();
+  std::vector<kd::Target> targets;
+  for (const kd::Target t : kd::kTargets) {
+    if (kd::supported(t)) targets.push_back(t);
+  }
+  std::printf("=== kernel layer: elementwise ns/element, libm (or the old "
+              "dropout draw) vs each dispatch target ===\n\n");
+  std::vector<std::string> header = {"op", "reference"};
+  std::vector<int> widths = {-8, 9};
+  for (const kd::Target t : targets) {
+    header.push_back(kd::target_name(t));
+    widths.push_back(7);
+  }
+  header.push_back("speedup");
+  widths.push_back(8);
+  // One LSTM gate block's worth of inputs over the range the gates see.
+  constexpr std::size_t kN = 4096;
+  Rng rng(7);
+  std::vector<double> x = random_buffer(kN, rng);
+  for (double& v : x) v *= 8.0;
+  std::vector<double> y(kN);
+  constexpr double kRate = 0.2;
+  struct Op {
+    const char* name;
+    std::function<void()> reference;
+    std::function<void()> kernel;
+  };
+  Rng draws(11);
+  std::uint64_t call = 0;
+  const std::vector<Op> ops = {
+      {"exp",
+       [&] {
+         for (std::size_t i = 0; i < kN; ++i) y[i] = std::exp(x[i]);
+       },
+       [&] {
+         y = x;
+         kd::exp(y.data(), kN);
+       }},
+      {"sigmoid",
+       [&] {
+         for (std::size_t i = 0; i < kN; ++i) {
+           y[i] = 1.0 / (1.0 + std::exp(-x[i]));
+         }
+       },
+       [&] {
+         y = x;
+         kernels::activate(kernels::Activation::kSigmoid, y.data(), kN);
+       }},
+      {"tanh",
+       [&] {
+         for (std::size_t i = 0; i < kN; ++i) y[i] = std::tanh(x[i]);
+       },
+       [&] {
+         y = x;
+         kernels::activate(kernels::Activation::kTanh, y.data(), kN);
+       }},
+      {"dropout",
+       [&] {
+         const double keep = 1.0 / (1.0 - kRate);
+         for (std::size_t i = 0; i < kN; ++i) {
+           y[i] = draws.bernoulli(kRate) ? 0.0 : keep;
+         }
+       },
+       [&] { kernels::dropout_mask(5, call++, kRate, y.data(), kN); }},
+  };
+  std::vector<std::vector<std::string>> rows;
+  for (const Op& op : ops) {
+    const double ref_ns = ns_per_element(time_call(op.reference), kN);
+    const std::string name = op.name;
+    bench::record_entry("elementwise_" + name + "_reference", ref_ns * 1e-9,
+                        ref_ns, "ns/elem");
+    std::vector<std::string> row = {name, bench::fmt(ref_ns, 2)};
+    double selected_ns = ref_ns;
+    for (const kd::Target t : targets) {
+      kd::use_target(t);
+      const double ns = ns_per_element(time_call(op.kernel), kN);
+      row.push_back(bench::fmt(ns, 2));
+      bench::record_entry(
+          "elementwise_" + name + "_kernel_" + kd::target_name(t), ns * 1e-9,
+          ns, "ns/elem");
+      if (t == selected) selected_ns = ns;
+    }
+    kd::use_target(selected);
+    row.push_back(bench::fmt(ref_ns / selected_ns, 2) + "x");
+    rows.push_back(std::move(row));
+  }
+  bench::print_table(header, rows, widths);
+  std::printf("\n(ns per element over %zu elements; reference = libm for "
+              "exp/sigmoid/tanh, one Rng::bernoulli per element for the "
+              "dropout mask; the kernel columns include one copy of the "
+              "input; speedup = selected target over reference)\n\n",
+              kN);
+}
+
 void BM_GemmNN(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
@@ -219,6 +326,7 @@ BENCHMARK(BM_FusedEpilogue);
 int main(int argc, char** argv) {
   coda::bench::strip_obs_flags(&argc, argv);
   print_gemm_table();
+  print_elementwise_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   coda::bench::dump_obs_if_requested();

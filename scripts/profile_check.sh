@@ -10,8 +10,10 @@
 # eval.fold.fit, the conv stacks must show nn.conv1d.fwd frames, and no
 # nn.relu.*, nn.tanh.* or nn.sigmoid.* frame may appear (activations fuse
 # into the Dense/Conv1D GEMM epilogue; a forecaster that stacks a
-# standalone activation layer fails here). Finally re-runs the pinned reset
-# test to assert that obs::prof::reset() leaves the profiler empty.
+# standalone activation layer fails here), and the fused conv activations
+# must show as kernel.activate frames under nn.conv1d.fwd, outside
+# kernel.gemm. Finally re-runs the pinned reset test to assert that
+# obs::prof::reset() leaves the profiler empty.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,6 +100,17 @@ standalone = sorted(
     if f.startswith(("nn.relu.", "nn.tanh.", "nn.sigmoid.")))
 assert not standalone, f"standalone activation layer frames: {standalone}"
 print("profile check: conv frames present, no standalone activation frames")
+
+# The GEMM epilogue's activation runs in its own kernel.activate region, a
+# sibling of kernel.gemm: the fused conv activations must show there, not
+# inside GEMM time.
+conv_activate = [
+    frames for frames in stacks
+    if "nn.conv1d.fwd" in frames and frames[-1] == "kernel.activate"
+    and "kernel.gemm" not in frames
+]
+assert conv_activate, "no kernel.activate frame under nn.conv1d.fwd"
+print("profile check: kernel.activate frames under nn.conv1d.fwd")
 PYEOF
 
 # Reset contract: obs::prof::reset() must leave the profiler empty (no

@@ -1,8 +1,8 @@
-// The GEMM register tile (DESIGN.md §11). src/CMakeLists.txt compiles this
-// file once per dispatch target — x86-64 (SSE2), x86-64-v3 (AVX2) and
-// x86-64-v4 (AVX-512), or only the portable copy off x86 — with
-// CODA_TILE_ENTRY naming that copy's entry point, always with
-// -ffp-contract=off so a·b + c stays two roundings.
+// The GEMM register tile and the elementwise math (DESIGN.md §11).
+// src/CMakeLists.txt compiles this file once per dispatch target — x86-64
+// (SSE2), x86-64-v3 (AVX2) and x86-64-v4 (AVX-512), or only the portable
+// copy off x86 — with CODA_TILE_ENTRY naming that copy's Entry, always
+// with -ffp-contract=off so a·b + c stays two roundings.
 //
 // Each C tile holds kMr rows by kNv vectors of accumulators in registers
 // and runs acc[r][·] += a(r, l) · B[l][·] over ascending l, with B read in
@@ -10,48 +10,25 @@
 // the same operations in the same order as the scalar reference loops, on
 // every target and at every tile width.
 //
-// Everything here has internal linkage: an inline function with external
-// linkage compiled for a wider target could otherwise be the copy the
-// linker keeps for the whole program.
+// Everything here but the Entry has internal linkage: an inline function
+// with external linkage compiled for a wider target could otherwise be the
+// copy the linker keeps for the whole program.
 #include "src/core/gemm_tile.h"
 
+#include "src/core/vmath.h"
+
 #ifndef CODA_TILE_ENTRY
-#error "CODA_TILE_ENTRY must name this copy's entry point (src/CMakeLists.txt)"
+#error "CODA_TILE_ENTRY must name this copy's Entry (src/CMakeLists.txt)"
 #endif
 
 namespace coda::kernels::tile {
 namespace {
 
-// kW doubles per vector register. The tile keeps kMr * kNv accumulators
-// plus kNv B vectors and one broadcast live: 11 registers, within every
-// target's 16.
-#if defined(__AVX512F__)
-constexpr std::size_t kW = 8;
-#elif defined(__AVX2__)
-constexpr std::size_t kW = 4;
-#else
-constexpr std::size_t kW = 2;
-#endif
+// The tile keeps kMr * kNv accumulators plus kNv B vectors and one
+// broadcast live: 11 registers, within every target's 16. kW and Lane come
+// from vmath.h.
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNv = 2;
-
-// VW doubles as one value: a GCC vector, or a plain double when VW is 1.
-// Loads and stores are unaligned.
-template <std::size_t VW>
-struct Lane {
-  typedef double V __attribute__((vector_size(VW * sizeof(double))));
-  typedef double U __attribute__((vector_size(VW * sizeof(double)),
-                                  aligned(alignof(double)), may_alias));
-  static V load(const double* p) { return *reinterpret_cast<const U*>(p); }
-  static void store(double* p, V v) { *reinterpret_cast<U*>(p) = v; }
-};
-
-template <>
-struct Lane<1> {
-  using V = double;
-  static double load(const double* p) { return *p; }
-  static void store(double* p, double v) { *p = v; }
-};
 
 // One MR x (NV * VW) tile of C at (i, j).
 template <std::size_t MR, std::size_t NV, std::size_t VW>
@@ -87,13 +64,8 @@ void tile(const Gemm& g, std::size_t i, std::size_t j) {
       } else if (g.start == Start::kOverwrite) {
         out = V{} + out;  // 0.0 + s, as a zero-filled C would give
       }
-      if (g.ep.bias != nullptr) out += L::load(g.ep.bias + j + v * VW);
+      if (g.bias != nullptr) out += L::load(g.bias + j + v * VW);
       L::store(p, out);
-    }
-  }
-  if (g.ep.act != Activation::kNone) {
-    for (std::size_t r = 0; r < MR; ++r) {
-      activate(g.ep.act, c + r * g.ldc, NV * VW);
     }
   }
 }
@@ -141,12 +113,16 @@ void rows_rest(const Gemm& g, std::size_t i) {
   }
 }
 
-}  // namespace
-
-void CODA_TILE_ENTRY(const Gemm& g) {
+void gemm(const Gemm& g) {
   std::size_t i = g.m0;
   for (; i + kMr <= g.m1; i += kMr) row_block<kMr>(g, i);
   if (i < g.m1) rows_rest<kMr - 1>(g, i);
 }
+
+}  // namespace
+
+// Address constants only: constant-initialized, no static constructor.
+const Entry CODA_TILE_ENTRY = {gemm, activate_span, activate_grad_span,
+                               exp_span, dropout_mask_span};
 
 }  // namespace coda::kernels::tile

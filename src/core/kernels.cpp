@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <vector>
 
 #include "src/core/gemm_tile.h"
@@ -29,16 +28,13 @@ constexpr std::size_t kNc = 240;
 // Below this many flops (2*m*n*k) a GEMM is not worth a thread handoff.
 constexpr std::size_t kParallelFlops = 4u << 20;
 
-// The epilogue over an mr x nr tile of C already holding its final sums:
-// add the bias row, then apply the activation, one row span at a time.
-void finish_tile(double* c, std::size_t ldc, std::size_t mr, std::size_t nr,
-                 const Epilogue& ep, const double* bias_tile) {
+// Adds the bias row to an mr x nr tile of C already holding its final
+// sums (the activation runs over all of C after the GEMM).
+void add_bias(double* c, std::size_t ldc, std::size_t mr, std::size_t nr,
+              const double* bias_tile) {
   for (std::size_t r = 0; r < mr; ++r) {
     double* const row = c + r * ldc;
-    if (bias_tile != nullptr) {
-      for (std::size_t v = 0; v < nr; ++v) row[v] += bias_tile[v];
-    }
-    activate(ep.act, row, nr);
+    for (std::size_t v = 0; v < nr; ++v) row[v] += bias_tile[v];
   }
 }
 
@@ -51,8 +47,7 @@ void finish_tile(double* c, std::size_t ldc, std::size_t mr, std::size_t nr,
 // `bp` is a packed B strip: kNr contiguous doubles per k step.
 void micro_full(const double* __restrict ap, const double* __restrict bp,
                 double* __restrict c, std::size_t ldc, std::size_t kk,
-                bool final_panel, const Epilogue& ep,
-                const double* bias_tile) {
+                bool final_panel, const double* bias_tile) {
   double acc[kMr][kNr];
   for (std::size_t r = 0; r < kMr; ++r) {
     for (std::size_t v = 0; v < kNr; ++v) acc[r][v] = c[r * ldc + v];
@@ -68,8 +63,8 @@ void micro_full(const double* __restrict ap, const double* __restrict bp,
   for (std::size_t r = 0; r < kMr; ++r) {
     for (std::size_t v = 0; v < kNr; ++v) c[r * ldc + v] = acc[r][v];
   }
-  if (final_panel && ep.active()) {
-    finish_tile(c, ldc, kMr, kNr, ep, bias_tile);
+  if (final_panel && bias_tile != nullptr) {
+    add_bias(c, ldc, kMr, kNr, bias_tile);
   }
 }
 
@@ -83,7 +78,7 @@ void micro_full(const double* __restrict ap, const double* __restrict bp,
 template <std::size_t NR>
 void micro_edge_n(const double* __restrict ap, const double* __restrict bp,
                   double* __restrict c, std::size_t ldc, std::size_t mr,
-                  std::size_t kk, bool final_panel, const Epilogue& ep,
+                  std::size_t kk, bool final_panel,
                   const double* bias_tile) {
   double acc[kMr][NR];
   for (std::size_t r = 0; r < mr; ++r) {
@@ -100,27 +95,28 @@ void micro_edge_n(const double* __restrict ap, const double* __restrict bp,
   for (std::size_t r = 0; r < mr; ++r) {
     for (std::size_t v = 0; v < NR; ++v) c[r * ldc + v] = acc[r][v];
   }
-  if (final_panel && ep.active()) finish_tile(c, ldc, mr, NR, ep, bias_tile);
+  if (final_panel && bias_tile != nullptr) {
+    add_bias(c, ldc, mr, NR, bias_tile);
+  }
 }
 
 // Width dispatch for ragged tiles. nr <= kNr always holds.
 void micro_edge(const double* ap, const double* bp, double* c,
                 std::size_t ldc, std::size_t mr, std::size_t nr,
-                std::size_t kk, bool final_panel, const Epilogue& ep,
-                const double* bias_tile) {
+                std::size_t kk, bool final_panel, const double* bias_tile) {
   switch (nr) {
-    case 1: micro_edge_n<1>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 2: micro_edge_n<2>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 3: micro_edge_n<3>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 4: micro_edge_n<4>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 5: micro_edge_n<5>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 6: micro_edge_n<6>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 7: micro_edge_n<7>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 8: micro_edge_n<8>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 9: micro_edge_n<9>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 10: micro_edge_n<10>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    case 11: micro_edge_n<11>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
-    default: micro_edge_n<kNr>(ap, bp, c, ldc, mr, kk, final_panel, ep, bias_tile); break;
+    case 1: micro_edge_n<1>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 2: micro_edge_n<2>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 3: micro_edge_n<3>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 4: micro_edge_n<4>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 5: micro_edge_n<5>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 6: micro_edge_n<6>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 7: micro_edge_n<7>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 8: micro_edge_n<8>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 9: micro_edge_n<9>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 10: micro_edge_n<10>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    case 11: micro_edge_n<11>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
+    default: micro_edge_n<kNr>(ap, bp, c, ldc, mr, kk, final_panel, bias_tile); break;
   }
 }
 
@@ -160,7 +156,7 @@ void pack_a(const double* a, std::size_t a_i, std::size_t a_k, std::size_t mr,
 void gemm_block(std::size_t m0, std::size_t m1, std::size_t n, std::size_t k,
                 const double* a, std::size_t a_i, std::size_t a_k,
                 const double* b, std::size_t ldb, double* c, std::size_t ldc,
-                const Epilogue& ep) {
+                const double* bias) {
   thread_local std::vector<double> packed;
   packed.resize(kKc * (kNc + kNr) + kKc * kMr);
   double* const bpack = packed.data();
@@ -178,11 +174,11 @@ void gemm_block(std::size_t m0, std::size_t m1, std::size_t n, std::size_t k,
           const std::size_t nr = std::min(kNr, nc - j0);
           const double* bp = bpack + (j0 / kNr) * kc * kNr;
           double* ct = c + i0 * ldc + jc + j0;
-          const double* bias_tile = ep.bias ? ep.bias + jc + j0 : nullptr;
+          const double* bias_tile = bias ? bias + jc + j0 : nullptr;
           if (mr == kMr && nr == kNr) {
-            micro_full(apack, bp, ct, ldc, kc, final_panel, ep, bias_tile);
+            micro_full(apack, bp, ct, ldc, kc, final_panel, bias_tile);
           } else {
-            micro_edge(apack, bp, ct, ldc, mr, nr, kc, final_panel, ep,
+            micro_edge(apack, bp, ct, ldc, mr, nr, kc, final_panel,
                        bias_tile);
           }
         }
@@ -236,16 +232,25 @@ GemmCounters& counters() {
 }
 
 // Every call, empty ones included, is one `kernel.gemm` region whose
-// seconds also feed `kernel.gemm.seconds`.
+// seconds also feed `kernel.gemm.seconds`. The epilogue's activation then
+// runs over the m x n result C (leading dimension ldc) in one pass, in a
+// sibling `kernel.activate` region, so GEMM time and rates count no
+// transcendental and the activation cost has its own frames. It is
+// elementwise on final values, so where it runs cannot change the bits.
 template <typename Run>
-void instrumented(std::size_t m, std::size_t n, std::size_t k, Run&& run) {
+void instrumented(std::size_t m, std::size_t n, std::size_t k, double* out,
+                  std::size_t ldc, Activation act, Run&& run) {
   GemmCounters& c = counters();
   const std::size_t flops = 2 * m * n * k;
   c.calls.inc();
   c.flops.inc(flops);
   obs::Region region(obs::region_id<"kernel.gemm">());
-  if (m > 0 && n > 0 && k > 0) run(flops);
+  const bool ran = m > 0 && n > 0 && k > 0;
+  if (ran) run(flops);
   c.seconds.observe(region.stop());
+  if (!ran || act == Activation::kNone) return;
+  const obs::Region activation(obs::region_id<"kernel.activate">());
+  activate(act, out, m, n, ldc);
 }
 
 void check_shapes(const Matrix& a, const Matrix& b, const Matrix& c,
@@ -258,41 +263,6 @@ void check_shapes(const Matrix& a, const Matrix& b, const Matrix& c,
 }
 
 }  // namespace
-
-void activate(Activation act, double* x, std::size_t n) {
-  switch (act) {
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
-      break;
-    case Activation::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) {
-        x[i] = 1.0 / (1.0 + std::exp(-x[i]));
-      }
-      break;
-    case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
-      break;
-    case Activation::kNone:
-      break;
-  }
-}
-
-void activate_grad(Activation act, const double* y, double* g,
-                   std::size_t n) {
-  switch (act) {
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < n; ++i) g[i] = y[i] > 0.0 ? g[i] : 0.0;
-      break;
-    case Activation::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) g[i] *= y[i] * (1.0 - y[i]);
-      break;
-    case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) g[i] *= 1.0 - y[i] * y[i];
-      break;
-    case Activation::kNone:
-      break;
-  }
-}
 
 namespace detail {
 
@@ -352,20 +322,25 @@ Target use_target(Target t) {
 
 namespace {
 
-// The active target's copy of the tile, over the rows [m0, m1) of `g`.
-void run_tile(tile::Gemm g, std::size_t m0, std::size_t m1) {
-  g.m0 = m0;
-  g.m1 = m1;
+// The active target's copy of the kernels.
+const tile::Entry& entry() {
   switch (detail::active_target()) {
 #if defined(CODA_TILE_X86)
     case detail::Target::kAvx512:
-      return tile::run_avx512(g);
+      return tile::avx512;
     case detail::Target::kAvx2:
-      return tile::run_avx2(g);
+      return tile::avx2;
 #endif
     default:
-      return tile::run_sse2(g);
+      return tile::sse2;
   }
+}
+
+// The active target's tile over the rows [m0, m1) of `g`.
+void run_tile(tile::Gemm g, std::size_t m0, std::size_t m1) {
+  g.m0 = m0;
+  g.m1 = m1;
+  entry().gemm(g);
 }
 
 // NN and TN: the tile, unless B is too large to stream from cache once per
@@ -374,17 +349,17 @@ void gemm_nn_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
                 std::size_t a_i, std::size_t a_k, const double* b,
                 std::size_t ldb, double* c, std::size_t ldc,
                 const Epilogue& ep) {
-  instrumented(m, n, k, [&](std::size_t flops) {
+  instrumented(m, n, k, c, ldc, ep.act, [&](std::size_t flops) {
     if (use_tile(n, k)) {
       const tile::Gemm g{0, m, n, k, a, a_i, a_k, b, ldb, c, ldc,
-                         tile::Start::kFromC, ep};
+                         tile::Start::kFromC, ep.bias};
       parallel_rows(m, flops, [&g](std::size_t m0, std::size_t m1) {
         run_tile(g, m0, m1);
       });
       return;
     }
     parallel_rows(m, flops, [&](std::size_t m0, std::size_t m1) {
-      gemm_block(m0, m1, n, k, a, a_i, a_k, b, ldb, c, ldc, ep);
+      gemm_block(m0, m1, n, k, a, a_i, a_k, b, ldb, c, ldc, ep.bias);
     });
   });
 }
@@ -406,7 +381,7 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc, const Epilogue& ep, bool accumulate) {
-  instrumented(m, n, k, [&](std::size_t flops) {
+  instrumented(m, n, k, c, ldc, ep.act, [&](std::size_t flops) {
     // Bᵀ (k x n) is transposed once per call so the tile reads it row by
     // row. Each dot product starts at 0 and C is added at the end, the
     // reference's order.
@@ -419,12 +394,30 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
                        c, ldc,
                        accumulate ? tile::Start::kAddC
                                   : tile::Start::kOverwrite,
-                       ep};
+                       ep.bias};
     parallel_rows(m, flops, [&g](std::size_t m0, std::size_t m1) {
       run_tile(g, m0, m1);
     });
   });
 }
+
+void activate(Activation act, double* x, std::size_t rows, std::size_t cols,
+              std::size_t ld) {
+  entry().activate(act, x, rows, cols, ld);
+}
+
+void activate_grad(Activation act, const double* y, double* g,
+                   std::size_t rows, std::size_t cols, std::size_t ld) {
+  entry().activate_grad(act, y, g, rows, cols, ld);
+}
+
+void dropout_mask(std::uint64_t seed, std::uint64_t call, double rate,
+                  double* mask, std::size_t n) {
+  entry().dropout_mask(seed, call, rate, mask, n);
+}
+
+void detail::exp(double* x, std::size_t n) { entry().exp(x, n); }
+
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c,
                  const Epilogue& ep) {
   require(a.cols() == b.rows(), "matmul_into: inner dimension mismatch");

@@ -23,42 +23,70 @@
 // and thread count. tests/test_kernels.cpp pins this against the
 // `reference` implementations below on every supported target.
 //
+// The elementwise math — exp, sigmoid, tanh, the activation derivatives
+// and the dropout mask — is compiled into the same per-target copies
+// (src/core/vmath.h) and dispatched with the GEMM: one range-reduction plus
+// polynomial algorithm, no libm call, bit-identical on every target.
+//
 // Observability: `kernel.gemm.calls` / `kernel.gemm.flops` count every
 // GEMM, and every call is one span-free `kernel.gemm` profiler region
-// whose seconds also feed the `kernel.gemm.seconds` histogram.
+// whose seconds also feed the `kernel.gemm.seconds` histogram. A GEMM
+// whose epilogue activates runs the activation after it, over all of C, in
+// a sibling `kernel.activate` region.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "src/data/matrix.h"
 
 namespace coda::kernels {
 
 /// Elementwise activation. Its math lives only in activate /
-/// activate_grad below, whether it runs fused into a GEMM write-back
-/// (Dense, Conv1D), over the LSTM gates or as a standalone layer.
+/// activate_grad below, whether it runs as a GEMM epilogue (Dense,
+/// Conv1D), over the LSTM gates or as a standalone layer.
 enum class Activation { kNone, kRelu, kSigmoid, kTanh };
 
-/// Epilogue applied during the final write-back of a GEMM result tile:
-/// C = act(C_in + A·B + bias), with `bias` an optional length-n row vector
-/// broadcast over rows. Fusing it here avoids a second full pass over C.
+/// Epilogue of a GEMM: C = act(C_in + A·B + bias), with `bias` an optional
+/// length-n row vector broadcast over rows. The bias is added in the final
+/// write-back of each result tile; the activation then runs over C in one
+/// pass (`kernel.activate`).
 struct Epilogue {
   const double* bias = nullptr;
   Activation act = Activation::kNone;
-
-  bool active() const { return bias != nullptr || act != Activation::kNone; }
 };
 
-/// x[i] = f(x[i]) in place: relu max(x, 0), sigmoid 1 / (1 + e^-x),
-/// tanh. Defined out of line in kernels.cpp (built with -ffp-contract=off)
-/// so every caller, each copy of the GEMM tile included, runs one
-/// definition.
-void activate(Activation act, double* x, std::size_t n);
+/// x = f(x) in place over `rows` rows of `cols` elements, row r starting at
+/// x + r * ld: relu max(x, 0), sigmoid 1 / (1 + e^-x), tanh. One
+/// definition (src/core/vmath.h) serves every caller, GEMM epilogues
+/// included; against libm, sigmoid is within 4 ulp of 1 / (1 + std::exp(-x))
+/// and tanh within 2 ulp of std::tanh (DESIGN.md §11).
+void activate(Activation act, double* x, std::size_t rows, std::size_t cols,
+              std::size_t ld);
 
-/// g[i] *= f'(x[i]), written in terms of the post-activation output
-/// y = f(x): relu [y > 0], sigmoid y(1 - y), tanh 1 - y^2.
+/// g *= f'(x) over the same row layout, written in terms of the
+/// post-activation output y = f(x): relu [y > 0], sigmoid y(1 - y), tanh
+/// 1 - y^2. y and g share the leading dimension `ld`.
 void activate_grad(Activation act, const double* y, double* g,
-                   std::size_t n);
+                   std::size_t rows, std::size_t cols, std::size_t ld);
+
+/// The contiguous forms: x[0, n) and g[0, n).
+inline void activate(Activation act, double* x, std::size_t n) {
+  activate(act, x, 1, n, n);
+}
+inline void activate_grad(Activation act, const double* y, double* g,
+                          std::size_t n) {
+  activate_grad(act, y, g, 1, n, n);
+}
+
+/// The inverted-dropout mask of one training forward: mask[i] =
+/// 1 / (1 - rate) when element i is kept, else 0. The keep decision is a
+/// pure function of (seed, call, i) — element i of call c keeps when the
+/// top 53 bits of mix64(s + (i + 1)·γ), s = mix64(seed + (c + 1)·γ), are at
+/// least ceil(rate · 2^53), where mix64 is SplitMix64's output function
+/// and γ its increment — so a mask never depends on earlier calls.
+void dropout_mask(std::uint64_t seed, std::uint64_t call, double rate,
+                  double* mask, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // GEMM in the three orientations the layers need. All matrices are row-major
@@ -115,9 +143,9 @@ void col_sums_add(std::size_t m, std::size_t n, const double* a,
                   std::size_t lda, double* out);
 
 // ---------------------------------------------------------------------------
-// Dispatch targets of the GEMM tile. Every GEMM runs the widest target the
-// host supports, chosen once at the first call; tests and bench_kernels
-// reach the others through this seam.
+// Dispatch targets of the per-target kernels. Every GEMM and elementwise
+// call runs the widest target the host supports, chosen once at the first
+// call; tests and bench_kernels reach the others through this seam.
 // ---------------------------------------------------------------------------
 namespace detail {
 
@@ -136,9 +164,14 @@ bool supported(Target t);
 /// The target GEMMs dispatch to now.
 Target active_target();
 
-/// Routes every later GEMM, on every thread, to `t` (which must be
+/// Routes every later kernel call, on every thread, to `t` (which must be
 /// supported) and returns the target it replaces.
 Target use_target(Target t);
+
+/// x[i] = e^x[i] in place, the exp that sigmoid and tanh are built on
+/// (within 1 ulp of the correctly rounded value over the whole finite
+/// range). Exposed for the accuracy tests and bench_kernels.
+void exp(double* x, std::size_t n);
 
 }  // namespace detail
 

@@ -39,8 +39,8 @@ MlpParams read_mlp_params(const ParamMap& params) {
 
 nn::Sequential build_mlp(std::size_t in_features, const MlpParams& p,
                          bool classifier) {
-  // Activations ride in the Dense GEMM epilogue (fused bias+ReLU/Sigmoid
-  // write-back) instead of separate elementwise layers; seeds are unchanged
+  // Activations ride in the Dense GEMM epilogue (bias+ReLU/Sigmoid)
+  // instead of separate elementwise layers; seeds are unchanged
   // so the weights match the old Dense+ReLU stacks exactly.
   nn::Sequential net;
   std::size_t width = in_features;

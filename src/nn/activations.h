@@ -1,5 +1,5 @@
 // Standalone elementwise activation layers: ReLU, Tanh, Sigmoid. Dense and
-// Conv1D fuse their activation into the GEMM write-back, and no forecaster
+// Conv1D fuse their activation into the GEMM epilogue, and no forecaster
 // stacks these layers; they remain the unfused reference the fused layers
 // are tested against and the building block for stacks assembled from the
 // public layers. The math is kernels::activate / activate_grad.

@@ -47,7 +47,7 @@ Matrix Conv1D::forward(const Matrix& input, bool) {
   // is bytewise the same layout as the N x (out_len*out_ch) result, so the
   // GEMM writes it directly; rows are pre-seeded with the bias so the
   // accumulation order matches the old per-tap loops exactly, and the
-  // activation (when fused) is applied by the GEMM epilogue on write-back.
+  // activation (when fused) is applied by the GEMM epilogue.
   const std::size_t fields = kernel_ * in_channels_;
   im2col_.reshape(input.rows() * out_len, fields);
   obs::Region im2col(obs::region_id<"nn.conv1d.im2col">());

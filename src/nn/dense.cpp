@@ -19,7 +19,8 @@ Matrix Dense::forward(const Matrix& input, bool) {
   cached_input_ = input;
   Matrix out(input.rows(), w_.value.cols());
   // Bias broadcast (and the activation, when fused) happen in the GEMM
-  // epilogue during the final write-back — no second pass over `out`.
+  // epilogue: the bias in the final write-back, the activation in one
+  // pass over `out` right after the GEMM.
   kernels::matmul_into(input, w_.value, out,
                        kernels::Epilogue{b_.value.ptr(), act_});
   if (act_ != kernels::Activation::kNone) cached_output_ = out;

@@ -8,8 +8,8 @@
 namespace coda::nn {
 
 /// y = act(x W + b) with W: in x out, b: 1 x out. The activation defaults
-/// to none; passing one fuses it into the GEMM epilogue (single write-back,
-/// no separate activation layer or second pass over the output).
+/// to none; passing one fuses it into the GEMM epilogue (no separate
+/// activation layer, no extra copy of the output).
 class Dense final : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features,

@@ -1,21 +1,21 @@
 #include "src/nn/dropout.h"
 
+#include "src/core/kernels.h"
+
 namespace coda::nn {
 
-Dropout::Dropout(double rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
+Dropout::Dropout(double rate, std::uint64_t seed) : rate_(rate), seed_(seed) {
   require(rate >= 0.0 && rate < 1.0, "Dropout: rate must be in [0,1)");
 }
 
 Matrix Dropout::forward(const Matrix& input, bool training) {
   last_was_training_ = training;
   if (!training || rate_ == 0.0) return input;
-  const double keep_scale = 1.0 / (1.0 - rate_);
-  mask_ = Matrix(input.rows(), input.cols());
+  mask_.reshape(input.rows(), input.cols());
+  kernels::dropout_mask(seed_, calls_++, rate_, mask_.ptr(), mask_.size());
   Matrix out = input;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const double m = rng_.bernoulli(rate_) ? 0.0 : keep_scale;
-    mask_.data()[i] = m;
-    out.data()[i] *= m;
+    out.data()[i] *= mask_.data()[i];
   }
   return out;
 }

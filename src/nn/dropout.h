@@ -2,13 +2,17 @@
 // layers, Section IV-C2/3).
 #pragma once
 
+#include <cstdint>
+
 #include "src/nn/layer.h"
-#include "src/util/random.h"
 
 namespace coda::nn {
 
 /// Drops activations with probability `rate` during training, scaling the
-/// survivors by 1/(1-rate); identity at inference.
+/// survivors by 1/(1-rate); identity at inference. The mask of the c-th
+/// training forward is kernels::dropout_mask(seed, c): a pure function of
+/// the seed, the call count and the element index, so a clone continues
+/// the same stream.
 class Dropout final : public Layer {
  public:
   explicit Dropout(double rate, std::uint64_t seed = 42);
@@ -24,7 +28,8 @@ class Dropout final : public Layer {
 
  private:
   double rate_;
-  Rng rng_;
+  std::uint64_t seed_;
+  std::uint64_t calls_ = 0;  // training forwards so far
   Matrix mask_;  // per-element keep scale of the last training forward
   bool last_was_training_ = false;
 };

@@ -53,10 +53,6 @@ Matrix Lstm::forward(const Matrix& input, bool) {
   // The recurrent projection stays sequential (h_t depends on h_{t-1}).
   for (std::size_t t = 0; t < seq_len; ++t) {
     StepCache& s = steps_[t];
-    s.i.reshape(n, H);
-    s.f.reshape(n, H);
-    s.g.reshape(n, H);
-    s.o.reshape(n, H);
     s.c.reshape(n, H);
     s.tanh_c.reshape(n, H);
     s.h.reshape(n, H);
@@ -69,30 +65,31 @@ Matrix Lstm::forward(const Matrix& input, bool) {
                        4 * H, z_.ptr() + t * 4 * H, seq_len * 4 * H);
     }
 
-    // The gate activations run in place over z_'s i/f/g/o slices (backward
-    // reads only the step caches), then tanh over the new cell state.
+    // The gate activations run in place over z_'s i/f/g/o slices, which
+    // backward then reads as the gate values, then tanh over the new cell
+    // state.
     const Matrix* c_prev = t > 0 ? &steps_[t - 1].c : nullptr;
     PROF_SCOPE("nn.lstm.gates");
+    double* zt = z_.ptr() + t * 4 * H;
+    const std::size_t ld = seq_len * 4 * H;
+    kernels::activate(kernels::Activation::kSigmoid, zt, n, 2 * H, ld);  // i, f
+    kernels::activate(kernels::Activation::kTanh, zt + 2 * H, n, H, ld);
+    kernels::activate(kernels::Activation::kSigmoid, zt + 3 * H, n, H, ld);
     for (std::size_t r = 0; r < n; ++r) {
-      double* zr = z_.row_ptr(r) + t * 4 * H;
-      kernels::activate(kernels::Activation::kSigmoid, zr, 2 * H);  // i, f
-      kernels::activate(kernels::Activation::kTanh, zr + 2 * H, H);
-      kernels::activate(kernels::Activation::kSigmoid, zr + 3 * H, H);
+      const double* zr = z_.row_ptr(r) + t * 4 * H;
+      double* cr = s.c.row_ptr(r);
       for (std::size_t hh = 0; hh < H; ++hh) {
-        const double iv = zr[hh];
-        const double fv = zr[H + hh];
-        const double gv = zr[2 * H + hh];
-        s.i(r, hh) = iv;
-        s.f(r, hh) = fv;
-        s.g(r, hh) = gv;
-        s.o(r, hh) = zr[3 * H + hh];
-        s.c(r, hh) = fv * (t > 0 ? (*c_prev)(r, hh) : 0.0) + iv * gv;
+        cr[hh] = zr[H + hh] * (t > 0 ? (*c_prev)(r, hh) : 0.0) +
+                 zr[hh] * zr[2 * H + hh];
       }
     }
     std::copy(s.c.ptr(), s.c.ptr() + n * H, s.tanh_c.ptr());
     kernels::activate(kernels::Activation::kTanh, s.tanh_c.ptr(), n * H);
-    for (std::size_t x = 0; x < n * H; ++x) {
-      s.h.ptr()[x] = s.o.ptr()[x] * s.tanh_c.ptr()[x];
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* o = z_.row_ptr(r) + t * 4 * H + 3 * H;
+      for (std::size_t hh = 0; hh < H; ++hh) {
+        s.h(r, hh) = o[hh] * s.tanh_c(r, hh);
+      }
     }
   }
 
@@ -127,42 +124,54 @@ Matrix Lstm::backward(const Matrix& grad_output) {
   dc_next_.fill(0.0);
   dz_.reshape(n, seq_len * 4 * H);
   dh_prev_.reshape(n, H);
+  dtanh_c_.reshape(n, H);
 
   for (std::size_t t = seq_len; t-- > 0;) {
     const StepCache& s = steps_[t];
     const Matrix* c_prev_mat = t > 0 ? &steps_[t - 1].c : nullptr;
 
     // Elementwise gate backprop into this timestep's slice of the batched
-    // N x T*4H buffer; dc carries in place through dc_next_.
+    // N x T*4H buffer; dc carries in place through dc_next_. Each slice
+    // first holds the gradient at the gate's output and is then pulled back
+    // through the gate by activate_grad, from the gate values z_ holds.
     for (std::size_t r = 0; r < n; ++r) {
+      const double* zr = z_.row_ptr(r) + t * 4 * H;
       double* dzr = dz_.row_ptr(r) + t * 4 * H;
+      double* dh = dh_next_.row_ptr(r);
       for (std::size_t hh = 0; hh < H; ++hh) {
-        double dh = dh_next_(r, hh);
         if (return_sequences_) {
-          dh += grad_output(r, t * hidden_ + hh);
+          dh[hh] += grad_output(r, t * hidden_ + hh);
         } else if (t + 1 == seq_len) {
-          dh += grad_output(r, hh);
+          dh[hh] += grad_output(r, hh);
         }
-        const double iv = s.i(r, hh);
-        const double fv = s.f(r, hh);
-        const double gv = s.g(r, hh);
-        const double ov = s.o(r, hh);
-        const double tc = s.tanh_c(r, hh);
-        const double c_prev_v = t > 0 ? (*c_prev_mat)(r, hh) : 0.0;
-
-        const double do_ = dh * tc;
-        const double dc = dc_next_(r, hh) + dh * ov * (1.0 - tc * tc);
-        const double di = dc * gv;
-        const double dg = dc * iv;
-        const double df = dc * c_prev_v;
-        dc_next_(r, hh) = dc * fv;
-
-        dzr[hh] = di * iv * (1.0 - iv);
-        dzr[H + hh] = df * fv * (1.0 - fv);
-        dzr[2 * H + hh] = dg * (1.0 - gv * gv);
-        dzr[3 * H + hh] = do_ * ov * (1.0 - ov);
+        dzr[3 * H + hh] = dh[hh] * s.tanh_c(r, hh);  // do
+        dtanh_c_(r, hh) = dh[hh] * zr[3 * H + hh];
       }
     }
+    kernels::activate_grad(kernels::Activation::kTanh, s.tanh_c.ptr(),
+                           dtanh_c_.ptr(), n * H);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* zr = z_.row_ptr(r) + t * 4 * H;
+      double* dzr = dz_.row_ptr(r) + t * 4 * H;
+      double* dc = dc_next_.row_ptr(r);
+      for (std::size_t hh = 0; hh < H; ++hh) {
+        const double dcv = dc[hh] + dtanh_c_(r, hh);
+        const double c_prev_v = t > 0 ? (*c_prev_mat)(r, hh) : 0.0;
+        dzr[hh] = dcv * zr[2 * H + hh];   // di
+        dzr[H + hh] = dcv * c_prev_v;     // df
+        dzr[2 * H + hh] = dcv * zr[hh];   // dg
+        dc[hh] = dcv * zr[H + hh];
+      }
+    }
+    const double* zt = z_.ptr() + t * 4 * H;
+    double* dzt = dz_.ptr() + t * 4 * H;
+    const std::size_t ld = seq_len * 4 * H;
+    kernels::activate_grad(kernels::Activation::kSigmoid, zt, dzt, n, 2 * H,
+                           ld);  // i, f
+    kernels::activate_grad(kernels::Activation::kTanh, zt + 2 * H, dzt + 2 * H,
+                           n, H, ld);
+    kernels::activate_grad(kernels::Activation::kSigmoid, zt + 3 * H,
+                           dzt + 3 * H, n, H, ld);
 
     // Only the recurrent carry dh_{t-1} = dz_t Whᵀ is inherently
     // sequential; every other GEMM of the old per-timestep loop is batched

@@ -36,19 +36,21 @@ class Lstm final : public Layer {
   ParamTensor wh_;  // H x 4H
   ParamTensor b_;   // 1 x 4H
 
-  // Per-timestep caches of the last forward batch (each N x H). The
+  // Per-timestep caches of the last forward batch (each N x H): cell
+  // state, its tanh and the hidden state. The gate values stay in z_. The
   // matrices are reshaped in place each forward, so steady-state training
   // reuses their buffers instead of reallocating per step.
   struct StepCache {
-    Matrix i, f, g, o, c, tanh_c, h;
+    Matrix c, tanh_c, h;
   };
   Matrix cached_input_;
   std::vector<StepCache> steps_;
   std::size_t cached_seq_len_ = 0;
 
   // Workspaces reused across forward/backward calls: the time-batched
-  // N x T*4H gate pre-activations (activated in place by forward) /
-  // gradients and the BPTT carry buffers.
+  // N x T*4H gate pre-activations (activated in place by forward, then read
+  // by backward as the gate values) / gradients, the BPTT carry buffers and
+  // the gradient at tanh(c) of one timestep.
   // The input projection of every timestep runs as ONE GEMM over the
   // flattened (N*T x input) view of the batch, and the weight-gradient
   // GEMMs of backward are batched over buffers reordered to (t descending,
@@ -59,6 +61,7 @@ class Lstm final : public Layer {
   Matrix dh_next_;
   Matrix dc_next_;
   Matrix dh_prev_;
+  Matrix dtanh_c_;
   Matrix x_rev_;
   Matrix dz_rev_;
   Matrix h_rev_;

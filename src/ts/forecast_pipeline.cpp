@@ -68,6 +68,9 @@ void ForecastPipeline::fit_prepared(const TimeSeries& series,
   // Re-fitting the scaler is cheap and deterministic; it keeps this
   // pipeline usable for predict_range/forecast_next even when `windows`
   // was computed by a sibling pipeline (the engine's prefix memo).
+  // The scaler refit and the training-row copy are one region, so the
+  // fit phase's breakdown shows them beside the model's own fit.
+  obs::Region train_rows_region(obs::region_id<"ts.train_rows">());
   const TimeSeries train_slice = series.slice(train_begin, train_end);
   static const std::vector<double> kNoTargets;
   scaler_->fit(train_slice.values(), kNoTargets);
@@ -85,7 +88,9 @@ void ForecastPipeline::fit_prepared(const TimeSeries& series,
   std::vector<double> train_y;
   train_y.reserve(train_rows.size());
   for (const std::size_t i : train_rows) train_y.push_back(windows.y[i]);
-  model_->fit(windows.X.select_rows(train_rows), train_y);
+  const Matrix train_X = windows.X.select_rows(train_rows);
+  train_rows_region.stop();
+  model_->fit(train_X, train_y);
   fitted_ = true;
 }
 

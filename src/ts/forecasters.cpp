@@ -1,6 +1,7 @@
 #include "src/ts/forecasters.h"
 
 #include "src/ml/linalg.h"
+#include "src/obs/profiler.h"
 
 namespace coda::ts {
 
@@ -26,6 +27,7 @@ void ArModel::fit(const Matrix& X, const std::vector<double>& y) {
   require(X.rows() > 0, "ArModel: empty input");
   const double ridge = params().get_double("ridge");
   require(ridge >= 0.0, "ArModel: ridge must be >= 0");
+  PROF_SCOPE("ts.ar.fit");  // a child of eval.fold.fit, like nn.train
   // Append intercept column and solve the regularized normal equations.
   Matrix design(X.rows(), X.cols() + 1);
   for (std::size_t r = 0; r < X.rows(); ++r) {

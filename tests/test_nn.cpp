@@ -246,6 +246,74 @@ TEST(Dropout, BackwardUsesSameMask) {
   }
 }
 
+TEST(Dropout, SameSeedGivesTheSameMask) {
+  Dropout a(0.4, 17);
+  Dropout b(0.4, 17);
+  Dropout other(0.4, 18);
+  const Matrix X(3, 50, 1.0);
+  for (int step = 0; step < 3; ++step) {
+    const Matrix out = a.forward(X, true);
+    EXPECT_EQ(out, b.forward(X, true)) << "step " << step;
+    EXPECT_NE(out, other.forward(X, true)) << "step " << step;
+  }
+}
+
+TEST(Dropout, EachTrainingForwardDrawsANewMask) {
+  Dropout layer(0.5, 3);
+  const Matrix X(1, 200, 1.0);
+  const Matrix first = layer.forward(X, true);
+  layer.forward(X, false);  // inference neither draws nor advances
+  EXPECT_NE(layer.forward(X, true), first);
+}
+
+TEST(Dropout, MaskIsAPureFunctionOfSeedCallAndIndex) {
+  // Element i of a call does not depend on the batch shape: a 1 x 10 batch
+  // sees the first 10 decisions of a 4 x 100 one at the same call count.
+  Dropout small(0.3, 21);
+  Dropout large(0.3, 21);
+  const Matrix out_small = small.forward(Matrix(1, 10, 1.0), true);
+  const Matrix out_large = large.forward(Matrix(4, 100, 1.0), true);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(out_small(0, i), out_large(0, i)) << "element " << i;
+  }
+}
+
+TEST(Dropout, CloneContinuesTheStream) {
+  Dropout layer(0.5, 9);
+  const Matrix X(2, 64, 1.0);
+  layer.forward(X, true);
+  layer.forward(X, true);
+  const auto copy = layer.clone();
+  const Matrix next = layer.forward(X, true);
+  EXPECT_EQ(copy->forward(X, true), next);
+  // A fresh layer with the same seed starts the stream over instead.
+  Dropout fresh(0.5, 9);
+  EXPECT_NE(fresh.forward(X, true), next);
+}
+
+TEST(Dropout, KeepFractionWithinBinomialBound) {
+  // 200k draws over 4 calls: the kept count is Binomial(n, 1 - rate) and
+  // must lie within 5 standard deviations of its mean for each rate.
+  for (const double rate : {0.1, 0.25, 0.5, 0.8}) {
+    Dropout layer(rate, 5);
+    const Matrix X(50, 1000, 1.0);
+    double kept = 0.0;
+    for (int call = 0; call < 4; ++call) {
+      const Matrix out = layer.forward(X, true);
+      for (const double v : out.data()) {
+        if (v != 0.0) {
+          ++kept;
+          EXPECT_EQ(v, 1.0 / (1.0 - rate));
+        }
+      }
+    }
+    const double n = 4.0 * X.size();
+    const double mean = n * (1.0 - rate);
+    const double sd = std::sqrt(n * rate * (1.0 - rate));
+    EXPECT_NEAR(kept, mean, 5.0 * sd) << "rate " << rate;
+  }
+}
+
 TEST(Loss, MseValueAndGradient) {
   MseLoss loss;
   Matrix pred(1, 2, {1.0, 3.0});

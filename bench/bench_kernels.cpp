@@ -60,7 +60,8 @@ struct Case {
 
 // The square and tall shapes of the original table, then the shapes the
 // forecaster fits issue (LSTM with H = 16 at batch 32 over 24 steps, the
-// conv1d layers) and ml/linalg's normal equations.
+// conv1d layers) and ml/linalg's normal equations, the last at the widest
+// XᵀX bench_fig11 forms (several k panels of B).
 const std::vector<Case> kCases = {
     {"square", Orient::kNN, {64, 64, 64}},
     {"square", Orient::kNN, {128, 128, 128}},
@@ -79,6 +80,7 @@ const std::vector<Case> kCases = {
     {"conv dX", Orient::kNT, {768, 32, 16}},
     {"linalg XtX", Orient::kTN, {8, 8, 240}},
     {"linalg Xty", Orient::kTN, {8, 1, 240}},
+    {"linalg XtX (fig11)", Orient::kTN, {193, 193, 2936}},
 };
 
 const char* orient_name(Orient o) {

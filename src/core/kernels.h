@@ -3,25 +3,25 @@
 // ml/linalg normal equations, PCA covariance, Matrix::multiply — routes
 // through this layer instead of per-call-site scalar triple loops.
 //
-// The GEMMs the fits issue run one register tile (src/core/gemm_tile.cpp):
-// 4 rows of C by two vector registers of columns, vectorized over n, with
-// B read in place and A read through (row, k) strides so one tile serves
-// NN and TN; NT transposes its small Bᵀ once per call. The tile is
-// compiled for SSE2, AVX2 and AVX-512 and the first GEMM picks the widest
-// copy the CPU runs (detail:: below is the seam tests use to pick
-// another). NN/TN calls whose B exceeds 48K doubles keep the cache-blocked
-// 8x12 packing path. Large shapes are split row-wise into a TaskGroup on
-// the calling task's pool (the process-wide executor outside any task),
-// and the caller runs the chunks no idle worker has taken.
+// Every GEMM runs one register tile (src/core/gemm_tile.cpp): 4 rows of C
+// by two vector registers of columns, vectorized over n, with B read in
+// place and A read through (row, k) strides so one tile serves NN and TN;
+// NT transposes its small Bᵀ once per call. NN and TN run the tile over k
+// panels of at most 48K doubles of B (one panel at every fit shape). The
+// tile is compiled for SSE2, AVX2 and AVX-512 and the first GEMM picks the
+// widest copy the CPU runs (detail:: below is the seam tests use to pick
+// another). Large shapes are split row-wise into a TaskGroup on the
+// calling task's pool (the process-wide executor outside any task), and
+// the caller runs the chunks no idle worker has taken.
 //
 // Equivalence guarantee: for each output element the reduction over k
 // runs in ascending order, exactly like the naive loops these kernels
 // replaced — vector lanes are distinct output columns, the kernel sources
-// build with -ffp-contract=off, the blocked path carries its accumulator
-// tile through C between k panels, and row-wise threading partitions
-// disjoint output rows — so results are independent of target, blocking
-// and thread count. tests/test_kernels.cpp pins this against the
-// `reference` implementations below on every supported target.
+// build with -ffp-contract=off, NN/TN carry each element's sum through C
+// between k panels, and row-wise threading partitions disjoint output
+// rows — so results are independent of target, panel depth and thread
+// count. tests/test_kernels.cpp pins this against the `reference`
+// implementations below on every supported target.
 //
 // The elementwise math — exp, sigmoid, tanh, the activation derivatives
 // and the dropout mask — is compiled into the same per-target copies
@@ -49,8 +49,8 @@ enum class Activation { kNone, kRelu, kSigmoid, kTanh };
 
 /// Epilogue of a GEMM: C = act(C_in + A·B + bias), with `bias` an optional
 /// length-n row vector broadcast over rows. The bias is added in the final
-/// write-back of each result tile; the activation then runs over C in one
-/// pass (`kernel.activate`).
+/// write-back of each result tile (the last k panel's); the activation then
+/// runs over C in one pass (`kernel.activate`).
 struct Epilogue {
   const double* bias = nullptr;
   Activation act = Activation::kNone;
@@ -82,9 +82,11 @@ inline void activate_grad(Activation act, const double* y, double* g,
 /// The inverted-dropout mask of one training forward: mask[i] =
 /// 1 / (1 - rate) when element i is kept, else 0. The keep decision is a
 /// pure function of (seed, call, i) — element i of call c keeps when the
-/// top 53 bits of mix64(s + (i + 1)·γ), s = mix64(seed + (c + 1)·γ), are at
-/// least ceil(rate · 2^53), where mix64 is SplitMix64's output function
-/// and γ its increment — so a mask never depends on earlier calls.
+/// top 53 bits of mix64(s + i·γ), s = mix64(seed + c·γ), are at least
+/// ceil(rate · 2^53), with coda::mix64 and γ = kSplitMixGamma
+/// (src/util/random.h): the i-th draw of a SplitMix64 stream seeded by the
+/// c-th draw of one seeded by `seed` — so a mask never depends on earlier
+/// calls.
 void dropout_mask(std::uint64_t seed, std::uint64_t call, double rate,
                   double* mask, std::size_t n);
 

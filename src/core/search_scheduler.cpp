@@ -14,6 +14,7 @@
 
 #include "src/obs/obs.h"
 #include "src/util/error.h"
+#include "src/util/random.h"
 #include "src/util/thread_pool.h"
 
 namespace coda {
@@ -22,17 +23,6 @@ namespace {
 
 /// Re-queue interval of a claim-blocked unit while a peer computes it.
 constexpr std::chrono::milliseconds kClaimPoll{5};
-
-/// SplitMix64 step — the same generator family Rng seeds with; inlined
-/// here so the tournament permutation is a pure function of the seed with
-/// no dependence on library distribution internals.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 }  // namespace
 
@@ -49,9 +39,11 @@ std::vector<std::size_t> tournament_ranks(std::size_t n, std::uint64_t seed) {
   if (seed != 0) {
     std::uint64_t state = seed;
     for (std::size_t i = n; i > 1; --i) {
-      const std::size_t j =
-          static_cast<std::size_t>(splitmix64(state) % static_cast<std::uint64_t>(i));
-      std::swap(order[i - 1], order[j]);
+      // One SplitMix64 draw: a pure function of the seed, with no
+      // dependence on library distribution internals.
+      const std::uint64_t draw = mix64(state);
+      state += kSplitMixGamma;
+      std::swap(order[i - 1], order[draw % static_cast<std::uint64_t>(i)]);
     }
   }
   std::vector<std::size_t> rank(n);

@@ -5,6 +5,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/util/error.h"
+#include "src/util/random.h"
 
 namespace coda::darr {
 
@@ -16,10 +17,7 @@ std::uint64_t stable_hash64(const std::string& s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
+  return mix64(h);
 }
 
 HashRing::HashRing(std::size_t n_shards, std::size_t replication,

@@ -5,23 +5,11 @@
 #include <vector>
 
 #include "src/obs/event_log.h"
+#include "src/util/random.h"
 
 namespace coda::dist {
 
 namespace {
-
-// SplitMix64 finalizer — stateless and platform-stable, so a link's fault
-// stream is a pure function of (seed, salt, from, to, message index).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-double unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 // Distinct fault streams per link: drop / spike / collapse draws must be
 // independent of each other or a high drop probability would correlate
@@ -316,6 +304,8 @@ bool SimNet::crashed_locked(NodeId id) const {
   return false;
 }
 
+// Stateless mixing: a link's fault stream is a pure function of (seed,
+// salt, from, to, message index).
 double SimNet::fault_draw_locked(std::uint64_t salt, NodeId from, NodeId to,
                                  std::size_t index) const {
   std::uint64_t h = mix64(faults_.seed ^ salt);

@@ -224,6 +224,34 @@ std::string format_seconds(double s) {
   return buf;
 }
 
+// Called paths keyed by (node, path); std::map keeps the (node, path)
+// ordering contract for free.
+using PathMap =
+    std::map<std::pair<std::string, std::vector<std::string>>, PathStat>;
+
+// Adds `arena`'s called paths into `merged`. Caller holds the arenas lock.
+void merge_arena(const ThreadArena& arena, PathMap& merged) {
+  for_each_node(arena, [&merged](PathNode* root, PathNode* node) {
+    const std::uint64_t calls = node->calls.load(std::memory_order_relaxed);
+    if (calls == 0) return;
+    PathStat& agg = merged[{root->node_name, path_names(*node)}];
+    agg.calls += calls;
+    agg.total_ns += node->total_ns.load(std::memory_order_relaxed);
+    agg.self_ns += self_ns_of(*node);
+  });
+}
+
+std::vector<PathStat> sorted_paths(PathMap& merged) {
+  std::vector<PathStat> out;
+  out.reserve(merged.size());
+  for (auto& [key, stat] : merged) {
+    stat.node = key.first;
+    stat.path = key.second;
+    out.push_back(std::move(stat));
+  }
+  return out;
+}
+
 }  // namespace
 
 RegionId intern(const std::string& name) {
@@ -246,36 +274,21 @@ const std::string& region_name(RegionId id) {
 }
 
 std::vector<PathStat> merged_paths() {
-  struct Agg {
-    std::uint64_t calls = 0;
-    std::uint64_t total_ns = 0;
-    std::uint64_t self_ns = 0;
-  };
-  // std::map keeps the (node, path) ordering contract for free.
-  std::map<std::pair<std::string, std::vector<std::string>>, Agg> merged;
+  PathMap merged;
+  Arenas& a = arenas();
+  std::lock_guard<std::mutex> lock(a.mutex);
+  for (const ThreadArena& arena : a.list) merge_arena(arena, merged);
+  return sorted_paths(merged);
+}
+
+std::vector<std::vector<PathStat>> thread_paths() {
+  std::vector<std::vector<PathStat>> out;
   Arenas& a = arenas();
   std::lock_guard<std::mutex> lock(a.mutex);
   for (const ThreadArena& arena : a.list) {
-    for_each_node(arena, [&merged](PathNode* root, PathNode* node) {
-      const std::uint64_t calls =
-          node->calls.load(std::memory_order_relaxed);
-      if (calls == 0) return;
-      Agg& agg = merged[{root->node_name, path_names(*node)}];
-      agg.calls += calls;
-      agg.total_ns += node->total_ns.load(std::memory_order_relaxed);
-      agg.self_ns += self_ns_of(*node);
-    });
-  }
-  std::vector<PathStat> out;
-  out.reserve(merged.size());
-  for (const auto& [key, agg] : merged) {
-    PathStat stat;
-    stat.node = key.first;
-    stat.path = key.second;
-    stat.calls = agg.calls;
-    stat.total_ns = agg.total_ns;
-    stat.self_ns = agg.self_ns;
-    out.push_back(std::move(stat));
+    PathMap paths;
+    merge_arena(arena, paths);
+    out.push_back(sorted_paths(paths));
   }
   return out;
 }

@@ -78,6 +78,11 @@ struct RegionStat {
 /// (node, path) — byte-deterministic ordering for seeded runs.
 std::vector<PathStat> merged_paths();
 
+/// merged_paths() of each thread arena on its own, in arena creation order
+/// (an arena is one thread's, or a thread's after an earlier one exited):
+/// the per-thread view behind a coverage check that fails on one thread.
+std::vector<std::vector<PathStat>> thread_paths();
+
 /// Flat per-region rollup of merged_paths(), ranked by (calls desc, name
 /// asc) — the deterministic hot-path ordering (DESIGN.md §15).
 std::vector<RegionStat> region_table();

@@ -11,6 +11,7 @@
 #include "src/nn/optimizer.h"
 #include "src/nn/slice.h"
 #include "src/nn/trainer.h"
+#include "src/obs/obs.h"
 
 namespace coda::ts {
 namespace {
@@ -43,6 +44,10 @@ void NeuralForecaster::fit(const Matrix& X, const std::vector<double>& y) {
   require(X.rows() == y.size(), name() + ": X/y size mismatch");
   require(X.rows() > 0, name() + ": empty input");
 
+  // Everything before nn.train — the target scaling, the network build and
+  // dropping the previous fit's network — is its own child of
+  // eval.fold.fit, so the fit's children account for its time.
+  obs::Region setup(obs::region_id<"nn.setup">());
   std::tie(y_mean_, y_scale_) = mean_stddev(y);
   if (y_scale_ == 0.0) y_scale_ = 1.0;
   std::vector<double> scaled(y.size());
@@ -58,7 +63,9 @@ void NeuralForecaster::fit(const Matrix& X, const std::vector<double>& y) {
   train_cfg.shuffle_seed = seed();
   nn::MseLoss loss;
   nn::Adam optimizer(params().get_double("learning_rate"));
-  nn::train(net_, X, nn::column_matrix(scaled), loss, optimizer, train_cfg);
+  const Matrix target = nn::column_matrix(scaled);
+  setup.stop();
+  nn::train(net_, X, target, loss, optimizer, train_cfg);
   fitted_ = true;
 }
 

@@ -12,6 +12,24 @@
 
 namespace coda {
 
+/// SplitMix64's output for the state x: the increment γ (kSplitMixGamma),
+/// then the finalizer. A stateless, platform-stable mix (std::hash is
+/// neither) — the stream from state s is mix64(s), mix64(s + γ),
+/// mix64(s + 2γ), ... — behind retry jitter, SimNet's fault draws, DARR
+/// ring placement and the halving tournament order.
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += kSplitMixGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Uniform double in [0, 1) from the top 53 bits of a hash.
+inline double unit(std::uint64_t h) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
 /// Deterministic pseudo-random generator with convenience draws.
 class Rng {
  public:

@@ -3,25 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/util/random.h"
+
 namespace coda {
-
-namespace {
-
-// SplitMix64 finalizer: a stateless, platform-stable mix used for jitter
-// draws (std::hash is not stable across runs; Rng would need shared state).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-// Uniform double in [0, 1) from a hash (53 mantissa bits).
-double unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 void RetryPolicy::validate() const {
   require(max_attempts >= 1, "RetryPolicy: max_attempts must be >= 1");

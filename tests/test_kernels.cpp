@@ -43,15 +43,18 @@ struct Shape {
   std::size_t m, n, k;
 };
 
-// Shapes chosen to exercise every edge of both paths: single rows/cols,
+// Shapes chosen to exercise every edge of the tile: single rows/cols,
 // sub-tile sizes and non-multiples of every target's register tile
 // (including the narrow n the tile finishes with halving vector widths),
-// shapes that cross the blocked path's 384-deep k panels and 240-wide
-// column panels, and the shapes the forecaster fits and ml/linalg issue.
+// shapes whose B exceeds one 48K-double k panel and so cross one or more
+// panel boundaries with a ragged last panel, and the shapes the forecaster
+// fits and ml/linalg issue.
 const std::vector<Shape> kShapes = {
     {1, 1, 1},     {1, 7, 3},     {5, 1, 9},     {8, 12, 4},
     {7, 13, 17},   {13, 29, 31},  {64, 64, 64},  {61, 67, 129},
     {3, 5, 500},   {9, 260, 40},  {130, 250, 70},
+    // Several k panels.
+    {9, 300, 200}, {5, 2000, 30}, {3, 7, 8000},  {40, 193, 700},
     // The fit shapes.
     {32, 64, 16},  {768, 64, 2},  {768, 64, 16}, {768, 16, 32},
     {16, 64, 736}, {32, 16, 768}, {32, 16, 64},  {768, 32, 16},
@@ -197,11 +200,9 @@ TEST_P(KernelsOnTarget, GemmNtOverwriteEqualsAccumulateIntoZeros) {
   }
 }
 
-TEST_P(KernelsOnTarget, FusedEpilogueMatchesSeparatePasses) {
-  // C = act(C + A·B + bias) from one GEMM call with an epilogue must equal
-  // the reference GEMM followed by a separate bias + activation pass, in
-  // every orientation; n = 19 leaves a ragged edge on every target's tile.
-  const std::size_t m = 17, n = 19, k = 23;
+// The body of FusedEpilogueMatchesSeparatePasses for one shape.
+void expect_fused_epilogue_matches(const Shape& s) {
+  const auto [m, n, k] = s;
   const auto a = random_buffer(m * k, 83);   // m x k, or k x m for TN
   const auto b = random_buffer(k * n, 89);   // k x n, or n x k for NT
   const auto c0 = random_buffer(m * n, 91);
@@ -235,8 +236,20 @@ TEST_P(KernelsOnTarget, FusedEpilogueMatchesSeparatePasses) {
       }
       kernels::activate(act, c_ref.data(), c_ref.size());
       EXPECT_EQ(max_abs_diff(c_ref, c_ker), 0.0)
-          << op << ", activation " << static_cast<int>(act);
+          << op << ", activation " << static_cast<int>(act) << ", shape "
+          << m << "x" << n << "x" << k;
     }
+  }
+}
+
+TEST_P(KernelsOnTarget, FusedEpilogueMatchesSeparatePasses) {
+  // C = act(C + A·B + bias) from one GEMM call with an epilogue must equal
+  // the reference GEMM followed by a separate bias + activation pass, in
+  // every orientation; n = 19 leaves a ragged edge on every target's tile.
+  // 17x300x400 runs NN/TN over three k panels: the bias is added once, on
+  // the last.
+  for (const Shape s : {Shape{17, 19, 23}, Shape{17, 300, 400}}) {
+    expect_fused_epilogue_matches(s);
   }
 }
 
@@ -285,9 +298,9 @@ TEST(Kernels, VectorPrimitives) {
 }
 
 TEST(Kernels, ConcurrentGemmsAreIndependent) {
-  // Each worker owns its buffers; the kernels share only thread_local pack
-  // scratch and the metrics counters. Run under `ctest -L tsan` to prove
-  // the sharing is race-free.
+  // Each worker owns its buffers; the kernels share only NT's thread_local
+  // transpose scratch and the metrics counters. Run under `ctest -L tsan` to
+  // prove the sharing is race-free.
   constexpr int kWorkers = 4;
   const std::size_t m = 48, n = 48, k = 48;
   std::vector<std::vector<double>> results(kWorkers);
@@ -739,23 +752,17 @@ TEST_P(ElementwiseOnTarget, SpecialValues) {
 }
 
 TEST_P(ElementwiseOnTarget, DropoutMaskFollowsTheStatedRule) {
-  // Element i of call c keeps when the top 53 bits of
-  // mix64(s + (i + 1)·γ), s = mix64(seed + (c + 1)·γ), reach
-  // ceil(rate · 2^53) (kernels.h), written out here in scalar form.
-  auto mix64 = [](std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
-    return z ^ (z >> 31);
-  };
-  constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15u;
+  // Element i of call c keeps when the top 53 bits of mix64(s + i·γ),
+  // s = mix64(seed + c·γ), reach ceil(rate · 2^53) (kernels.h), written
+  // out here with the scalar coda::mix64.
   const std::uint64_t seed = 42, call = 3;
   const double rate = 0.3;
   std::vector<double> mask(37, -1.0);
   kernels::dropout_mask(seed, call, rate, mask.data(), mask.size());
-  const std::uint64_t s = mix64(seed + (call + 1) * kGamma);
+  const std::uint64_t s = mix64(seed + call * kSplitMixGamma);
   const auto threshold = static_cast<std::uint64_t>(std::ceil(rate * 0x1p53));
   for (std::size_t i = 0; i < mask.size(); ++i) {
-    const bool keep = (mix64(s + (i + 1) * kGamma) >> 11) >= threshold;
+    const bool keep = (mix64(s + i * kSplitMixGamma) >> 11) >= threshold;
     EXPECT_TRUE(same_bits(mask[i], keep ? 1.0 / (1.0 - rate) : 0.0))
         << "element " << i;
   }

@@ -27,6 +27,7 @@
 #include "src/ts/forecast_graph.h"
 #include "src/ts/nn_forecasters.h"
 #include "src/ts/windowing.h"
+#include "src/util/string_util.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer_wheel.h"
 
@@ -318,9 +319,31 @@ TEST(Profiler, ExitedThreadsHandBackTheirArenas) {
   EXPECT_EQ(calls, 1000u);
 }
 
+// Per thread arena: every eval.fold.fit path with its self time (the time
+// no child region covers) and every path directly below it, for the
+// failure message of NeuralFitRegionsAccountForFoldFit.
+std::string fit_coverage_by_thread() {
+  std::string out;
+  const auto threads = obs::prof::thread_paths();
+  for (std::size_t t = 0; t < threads.size(); ++t) {
+    for (const auto& p : threads[t]) {
+      const std::size_t n = p.path.size();
+      const bool fit = p.path.back() == "eval.fold.fit";
+      if (!fit && (n < 2 || p.path[n - 2] != "eval.fold.fit")) continue;
+      out += "thread " + std::to_string(t) + " " + join(p.path, ";") +
+             ": calls " + std::to_string(p.calls) + ", total " +
+             std::to_string(p.total_ns) + " ns" +
+             (fit ? ", uncovered " + std::to_string(p.self_ns) + " ns" : "") +
+             "\n";
+    }
+  }
+  return out;
+}
+
 // The per-layer nn.* regions account for a neural fit: the regions below
-// eval.fold.fit (nn.train and everything under it) cover >= 95% of its
-// time, and the coda_top view ranks the layer rows without perfbench.
+// eval.fold.fit (nn.setup, nn.train and everything under them) cover >= 95%
+// of its time, and the coda_top view ranks the layer rows without
+// perfbench.
 TEST(Profiler, NeuralFitRegionsAccountForFoldFit) {
   IndustrialSeriesConfig cfg;
   cfg.length = 160;
@@ -356,7 +379,7 @@ TEST(Profiler, NeuralFitRegionsAccountForFoldFit) {
   }
   ASSERT_GT(fit_ns, 0u);
   EXPECT_GE(static_cast<double>(below_ns), 0.95 * static_cast<double>(fit_ns))
-      << below_ns << " of " << fit_ns << " ns";
+      << below_ns << " of " << fit_ns << " ns\n" << fit_coverage_by_thread();
 
   const std::string report = obs::prof::report();
   for (const char* row :

@@ -181,15 +181,8 @@ TEST(DeltaProperties, ConcatenationOfBaseWithItself) {
 
 // --- Retry backoff schedules (fault tier, DESIGN.md §9) ----------------------
 
-// Seeded generator for the sweeps: failures must reproduce from the fixed
+// The sweeps draw from coda::mix64: failures must reproduce from the fixed
 // seeds, never from run-to-run randomness.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 RetryPolicy policy_for_seed(std::uint64_t seed) {
   RetryPolicy p;
   p.seed = seed;

@@ -151,6 +151,18 @@ TEST(Rng, UniformIntRange) {
   }
 }
 
+TEST(Rng, Mix64StreamKnownAnswers) {
+  // SplitMix64 from state 0: each draw is mix64(state), then state += γ.
+  std::uint64_t state = 0;
+  for (const std::uint64_t want :
+       {0xe220a8397b1dcdafULL, 0x6e789e6aa1b965f4ULL, 0x06c45d188009454fULL}) {
+    EXPECT_EQ(mix64(state), want);
+    state += kSplitMixGamma;
+  }
+  EXPECT_EQ(unit(0), 0.0);
+  EXPECT_EQ(unit(~std::uint64_t{0}), 1.0 - 0x1.0p-53);
+}
+
 TEST(Rng, SplitIsIndependent) {
   Rng parent(42);
   Rng child = parent.split();
